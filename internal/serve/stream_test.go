@@ -244,6 +244,55 @@ func TestStreamLargeBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestStreamOverflowInRecords caps a stream well past its header, so
+// MaxStreamBytes runs out among the records rather than inside the
+// header: the reader must pass the overflow through for a 413, not
+// turn the cut record into a 400, and nothing of the stream may be
+// stored. A stream of the records that fit under the cap is the
+// control: it is accepted.
+func TestStreamOverflowInRecords(t *testing.T) {
+	const limit = 4096
+	ts := newConfigServer(t, Config{MaxStreamBytes: limit})
+	hdr := `{"stream":1,"problem":"overflow"}` + "\n"
+	var stream bytes.Buffer
+	stream.WriteString(hdr)
+	fit := 0
+	for i := 0; stream.Len() <= 2*limit; i++ {
+		stream.WriteString(fmt.Sprintf(`{"iterations":%d}`+"\n", 1000+i))
+		if stream.Len() <= limit {
+			fit++
+		}
+	}
+	if fit < 10 {
+		t.Fatalf("only %d records fit under the cap; the overflow must come well after the header", fit)
+	}
+	status, body := postStream(t, ts, bytes.NewReader(stream.Bytes()))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("stream over MaxStreamBytes: status %d, body %s; want 413", status, body)
+	}
+	_, hb := get(t, ts, "/v1/healthz")
+	var hr healthResponse
+	if err := json.Unmarshal(hb, &hr); err != nil {
+		t.Fatal(err)
+	}
+	if hr.Campaigns != 0 {
+		t.Errorf("store holds %d campaigns after a rejected stream, want 0", hr.Campaigns)
+	}
+
+	prefix := stream.Bytes()[:bytes.LastIndexByte(stream.Bytes()[:limit], '\n')+1]
+	status, body = postStream(t, ts, bytes.NewReader(prefix))
+	if status != http.StatusOK {
+		t.Fatalf("stream under MaxStreamBytes: status %d, body %s", status, body)
+	}
+	var cr campaignResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.Runs != fit {
+		t.Errorf("stream under the cap stored %d runs, want %d", cr.Runs, fit)
+	}
+}
+
 // countWriter counts bytes on their way into the pipe.
 type countWriter struct {
 	w io.Writer

@@ -237,20 +237,18 @@ func (s *Sketch) compact(h int) {
 		if s.compactions[h]%2 == 1 {
 			start = 1
 		}
-		promoted := make([]float64, 0, len(buf)/2)
+		if len(s.levels) <= h+1 {
+			s.levels = append(s.levels, nil)
+			s.compactions = append(s.compactions, 0)
+		}
 		for i := start; i < len(buf); i += 2 {
-			promoted = append(promoted, buf[i])
+			s.levels[h+1] = append(s.levels[h+1], buf[i])
 		}
 		s.compactions[h]++
 		s.levels[h] = s.levels[h][:0]
 		if hasLeftover {
 			s.levels[h] = append(s.levels[h], leftover)
 		}
-		if len(s.levels) <= h+1 {
-			s.levels = append(s.levels, nil)
-			s.compactions = append(s.compactions, 0)
-		}
-		s.levels[h+1] = append(s.levels[h+1], promoted...)
 	}
 }
 

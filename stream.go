@@ -1,10 +1,13 @@
 package lasvegas
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // StreamSchemaVersion is the NDJSON campaign-stream schema version:
@@ -89,9 +92,23 @@ func (c *Campaign) WriteNDJSON(w io.Writer) error {
 
 // ReadCampaignNDJSON reads an NDJSON campaign stream from r, folding
 // every record into a quantile sketch of capacity k (DefaultSketchK
-// when k ≤ 0) as it is decoded — memory stays O(k·log(n/k)) whatever
-// the stream length. The returned campaign is sketch-backed: Runs and
-// Sketch.N() are the record count, Iterations is empty.
+// when k ≤ 0) as it is decoded — memory stays O(k·log(n/k)) plus one
+// fixed read buffer, whatever the stream length. The returned campaign
+// is sketch-backed: Runs and Sketch.N() are the record count,
+// Iterations is empty.
+//
+// The header is decoded with encoding/json. Records are then read line
+// by line: a line holding exactly one of the two record shapes
+// WriteNDJSON emits — {"iterations":N} or {"iterations":N,"seconds":S},
+// JSON numbers, surrounding whitespace allowed — is parsed without
+// reflection (strconv.ParseFloat, the conversion encoding/json uses)
+// and blank lines are skipped. The first line of any other shape —
+// other key order, extra keys or inner whitespace, several values on
+// one line, a value spanning lines, an out-of-range number, a line
+// longer than the buffer — hands itself and the rest of the stream to
+// an encoding/json decoder, value by value. Either way a stream is
+// accepted or rejected, and folded into the same sketch, exactly as by
+// the decoder alone.
 //
 // Malformed streams fail with ErrStream: a missing or
 // newer-than-supported header, a record without finite iterations, or
@@ -117,39 +134,192 @@ func ReadCampaignNDJSON(r io.Reader, k int) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := 0
-	for {
-		var rec streamRecord
-		if err := dec.Decode(&rec); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, streamErr(err, fmt.Sprintf("bad record %d", count+1))
-		}
-		if rec.Iterations == nil {
-			return nil, fmt.Errorf("%w: record %d has no iterations", ErrStream, count+1)
-		}
-		if err := sk.Add(*rec.Iterations); err != nil {
-			return nil, fmt.Errorf("%w: record %d: %v", ErrStream, count+1, err)
-		}
-		count++
+	f := &recordFolder{sk: sk}
+	if err := f.read(io.MultiReader(dec.Buffered(), r)); err != nil {
+		return nil, err
 	}
-	if count == 0 {
+	if f.count == 0 {
 		return nil, ErrEmptyCampaign
 	}
-	if hdr.Runs > 0 && count != hdr.Runs {
+	if hdr.Runs > 0 && f.count != hdr.Runs {
 		return nil, fmt.Errorf("%w: header declares %d runs but the stream carried %d (torn upload?)",
-			ErrStream, hdr.Runs, count)
+			ErrStream, hdr.Runs, f.count)
 	}
 	return &Campaign{
 		Problem:  hdr.Problem,
 		Size:     hdr.Size,
 		Seed:     hdr.Seed,
-		Runs:     count,
+		Runs:     f.count,
 		Metadata: hdr.Metadata,
 		Sketch:   sk,
 	}, nil
 }
+
+// streamBufSize is the record reader's fixed buffer. A canonical
+// record line is a few dozen bytes; a longer line than this takes the
+// decoder path.
+const streamBufSize = 4 << 10
+
+// recordFolder folds the records after a stream header into a sketch.
+type recordFolder struct {
+	sk    *Sketch
+	count int // records folded so far
+}
+
+// add folds one record's iterations.
+func (f *recordFolder) add(x float64) error {
+	if err := f.sk.Add(x); err != nil {
+		return fmt.Errorf("%w: record %d: %v", ErrStream, f.count+1, err)
+	}
+	f.count++
+	return nil
+}
+
+// read folds every record in r: canonical lines on the fast path, and
+// from the first other line on, everything through decode.
+func (f *recordFolder) read(r io.Reader) error {
+	br := bufio.NewReaderSize(r, streamBufSize)
+	for {
+		line, err := br.ReadSlice('\n')
+		whole := err == nil || err == io.EOF
+		switch x, ok := canonicalRecord(line); {
+		case whole && ok:
+			if aerr := f.add(x); aerr != nil {
+				return aerr
+			}
+		case whole && len(trimSpace(line)) == 0:
+			// A blank line: whitespace between values.
+		default:
+			// A line over the buffer continues from br. A reader error
+			// (or EOF) comes after the partial line, once, as the
+			// decoder would have met it.
+			rest := io.Reader(br)
+			if err != nil && err != bufio.ErrBufferFull {
+				rest = errReader{err}
+			}
+			return f.decode(json.NewDecoder(io.MultiReader(bytes.NewReader(line), rest)))
+		}
+		if err == io.EOF {
+			return nil
+		}
+	}
+}
+
+// decode is the general record path: encoding/json, one value at a
+// time, until the stream ends.
+func (f *recordFolder) decode(dec *json.Decoder) error {
+	for {
+		var rec streamRecord
+		if err := dec.Decode(&rec); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return streamErr(err, fmt.Sprintf("bad record %d", f.count+1))
+		}
+		if rec.Iterations == nil {
+			return fmt.Errorf("%w: record %d has no iterations", ErrStream, f.count+1)
+		}
+		if err := f.add(*rec.Iterations); err != nil {
+			return err
+		}
+	}
+}
+
+// canonicalRecord parses a line holding exactly one record as
+// WriteNDJSON writes it, {"iterations":N} or
+// {"iterations":N,"seconds":S}, with optional surrounding whitespace.
+// It reports false for any other line, and for a number ParseFloat
+// rejects, leaving those to the decoder.
+func canonicalRecord(line []byte) (float64, bool) {
+	b, ok := bytes.CutPrefix(trimSpace(line), []byte(`{"iterations":`))
+	if !ok {
+		return 0, false
+	}
+	n := numberLen(b)
+	if n == 0 {
+		return 0, false
+	}
+	it, b := b[:n], b[n:]
+	if s, ok := bytes.CutPrefix(b, []byte(`,"seconds":`)); ok {
+		m := numberLen(s)
+		if m == 0 {
+			return 0, false
+		}
+		if _, err := strconv.ParseFloat(string(s[:m]), 64); err != nil {
+			return 0, false
+		}
+		b = s[m:]
+	}
+	if string(b) != "}" {
+		return 0, false
+	}
+	x, err := strconv.ParseFloat(string(it), 64)
+	return x, err == nil
+}
+
+// numberLen returns the length of the JSON number that starts b,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 when b does
+// not start with one.
+func numberLen(b []byte) int {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digitsEnd(b, i+1)
+	default:
+		return 0
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digitsEnd(b, i+1)
+		if j == i+1 {
+			return 0
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digitsEnd(b, i)
+		if j == i {
+			return 0
+		}
+		i = j
+	}
+	return i
+}
+
+// trimSpace strips JSON whitespace from both ends of b.
+func trimSpace(b []byte) []byte {
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+// isSpace reports whether c is JSON whitespace.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
+
+// digitsEnd returns the index of the first non-digit in b at or after i.
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// errReader returns its error on every Read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // streamErr wraps a decode failure as ErrStream, but passes reader
 // errors (connection drops, body-size caps) through untouched so

@@ -109,6 +109,28 @@ func TestNDJSONStreamErrors(t *testing.T) {
 	}
 }
 
+// TestNDJSONCanonicalRecordsSkipDecoder pins the fast path: records as
+// WriteNDJSON writes them are parsed without encoding/json, which
+// costs allocations per record, so a 5k-record stream allocates a few
+// hundred times in all (header, buffer, sketch levels), not thousands.
+func TestNDJSONCanonicalRecordsSkipDecoder(t *testing.T) {
+	const runs = 5000
+	c := &lasvegas.Campaign{Problem: "x", Runs: runs, Iterations: make([]float64, runs), Seconds: make([]float64, runs)}
+	for i := range c.Iterations {
+		c.Iterations[i] = float64(1 + (i*7919)%999983)
+		c.Seconds[i] = c.Iterations[i] / 1e6
+	}
+	stream := streamOf(t, c)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := lasvegas.ReadCampaignNDJSON(bytes.NewReader(stream), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > runs/10 {
+		t.Errorf("reading %d canonical records made %.0f allocations; the decoder path makes ~2 per record", runs, allocs)
+	}
+}
+
 // TestNDJSONBoundedMemory pipes a 120k-run stream — well past the
 // acceptance floor — through ReadCampaignNDJSON and checks the result
 // is a sketch within its retention bound, not the sample: the stream
