@@ -10,7 +10,7 @@
 //	G(n) = E[Y] / E[Z(n)].
 //
 // A Predictor wraps any dist.Dist — a parametric family fitted with
-// internal/fit, or a nonparametric dist.Empirical built straight from
+// internal/fit, or a nonparametric empirical dist.Step built straight from
 // observed runtimes ("plug-in" prediction). Closed forms are used
 // where the paper derives them:
 //

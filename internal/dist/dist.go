@@ -1,8 +1,7 @@
 // Package dist is the performance-first distribution kernel of the
 // repository: the runtime-distribution families the paper fits to
-// sequential Las Vegas campaigns (§6), the nonparametric empirical
-// distribution behind plug-in prediction, and the sampling plumbing
-// shared by every experiment.
+// sequential Las Vegas campaigns (§6), the step law behind plug-in
+// prediction, and the sampling plumbing shared by every experiment.
 //
 // Design rules, in order:
 //
@@ -18,9 +17,13 @@
 //     distribution never allocates; SampleN performs the single
 //     output allocation.
 //  3. Value types. Every parametric law is an immutable value and
-//     safe for concurrent use; Empirical is a pointer type carrying a
-//     sorted backing array, precomputed moments, and is read-only
-//     (hence also goroutine-safe) after construction.
+//     safe for concurrent use. Every sample-backed law is one Step:
+//     sorted atoms with their cumulative masses, read-only (hence also
+//     goroutine-safe) after construction. The empirical law
+//     (NewEmpirical), the Kaplan–Meier law (internal/survival) and a
+//     quantile sketch (internal/sketch) differ only in the atom
+//     masses, so no other package re-implements a step-law CDF,
+//     quantile, MinExpectation or TruncatedMean.
 //
 // Numerical conventions: survival-side expressions use Expm1/Log1p to
 // stay accurate for extreme parameters (rates of 5.4e-9 and n = 8192

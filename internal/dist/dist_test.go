@@ -250,6 +250,20 @@ func TestEmpiricalTies(t *testing.T) {
 	approx(t, e.CDF(5), 0.75, 1e-12, "tied CDF")
 	// min of 2: P(both are 10) = 1/16 → E = 5·15/16 + 10/16.
 	approx(t, e.MinExpectation(2), 5*15.0/16+10.0/16, 1e-12, "tied MinExpectation")
+
+	// A tie in the middle of the sample: the CDF counts every tied
+	// observation at the atom and none just below it.
+	e, err = dist.NewEmpirical([]float64{1, 2, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ x, want float64 }{
+		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
+	} {
+		if f := e.CDF(c.x); f != c.want {
+			t.Errorf("F(%v) = %v, want %v", c.x, f, c.want)
+		}
+	}
 }
 
 // TestValidationRejectsBadParameters sweeps every constructor.
@@ -286,8 +300,8 @@ func TestValidationRejectsBadParameters(t *testing.T) {
 	}
 }
 
-func errOf[D dist.Dist](_ D, err error) error   { return err }
-func errOf2(_ *dist.Empirical, err error) error { return err }
+func errOf[D dist.Dist](_ D, err error) error { return err }
+func errOf2(_ *dist.Step, err error) error    { return err }
 
 // TestSampleN draws the requested count.
 func TestSampleN(t *testing.T) {

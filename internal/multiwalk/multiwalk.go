@@ -122,7 +122,7 @@ func Run(ctx context.Context, runner Runner, opt Options) (Outcome, error) {
 }
 
 // Simulate draws reps independent realizations of Z(n) by inverting
-// the empirical minimum CDF on the pool (dist.Empirical.MinSample):
+// the empirical minimum CDF on the pool (dist.Step.MinSample):
 // with U uniform,
 //
 //	Z(n) = Q̂(1 - (1-U)^{1/n}),   Q̂(v) = x₍⌈v·m⌉₎,

@@ -87,7 +87,7 @@ func (m Min) Quantile(p float64) float64 {
 
 // minExpecter is implemented by sample-backed laws whose expected
 // minimum of n draws has an exact one-pass form over their sorted
-// backing array — dist.Empirical and survival.KaplanMeier. Matching
+// backing array — dist.Step and the estimators built on it. Matching
 // the capability rather than the concrete type keeps this package
 // from importing the estimator layers above it.
 type minExpecter interface {

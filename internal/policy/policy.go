@@ -13,11 +13,13 @@
 //   - fitted-optimal: the best fixed cutoff for the law at hand
 //     (Brent search on smooth laws, an exact atom scan on step laws).
 //
-// Every closed form runs through E[min(Y,c)], which step laws
-// (Empirical, Kaplan–Meier, quantile sketches) expose exactly via a
-// TruncatedMean method — so plug-in pricing never integrates a
-// discontinuous CDF. Smooth fitted laws fall back to tanh-sinh
-// quadrature, identical to internal/restart.
+// Every closed form runs through E[min(Y,c)], which step laws expose
+// exactly via a TruncatedMean method — so plug-in pricing never
+// integrates a discontinuous CDF. The one step-law implementation is
+// dist.Step: the empirical law, Kaplan–Meier and quantile sketches are
+// all built on it, and BootstrapCI prices each resample as one. Smooth
+// fitted laws fall back to tanh-sinh quadrature, identical to
+// internal/restart.
 //
 // The closed forms are validated two independent ways (see Simulate
 // and BootstrapCI): a deterministic seeded replay that re-runs the
@@ -93,32 +95,20 @@ func (p Policy) validate() error {
 	}
 }
 
-// law is the minimal pricing surface: everything below reduces to the
-// CDF, the truncated mean E[min(Y,c)], and the mean. Two
-// implementations exist — distLaw wraps any dist.Dist, stepLaw prices
-// a sorted resample exactly for the bootstrap.
-type law interface {
-	cdf(x float64) float64
-	truncMean(c float64) (float64, error)
-	mean() float64
-}
-
-// truncatedMeaner is the exact fast path: step laws (Empirical,
-// KaplanMeier, Sketch) expose E[min(Y,c)] in closed form.
+// truncatedMeaner is the exact fast path: step laws (dist.Step and
+// the estimators built on it, quantile sketches) expose E[min(Y,c)]
+// in closed form.
 type truncatedMeaner interface {
 	TruncatedMean(c float64) float64
 }
 
-type distLaw struct{ d dist.Dist }
-
-func (l distLaw) cdf(x float64) float64 { return l.d.CDF(x) }
-func (l distLaw) mean() float64         { return l.d.Mean() }
-
-func (l distLaw) truncMean(c float64) (float64, error) {
-	if tm, ok := l.d.(truncatedMeaner); ok {
+// truncMean returns E[min(Y,c)] under d: exactly on step laws, by
+// tanh-sinh quadrature of the CDF elsewhere.
+func truncMean(d dist.Dist, c float64) (float64, error) {
+	if tm, ok := d.(truncatedMeaner); ok {
 		return tm.TruncatedMean(c), nil
 	}
-	lo, _ := l.d.Support()
+	lo, _ := d.Support()
 	if math.IsInf(lo, -1) || lo < 0 {
 		lo = 0
 	}
@@ -126,7 +116,7 @@ func (l distLaw) truncMean(c float64) (float64, error) {
 		return c, nil // F ≡ 0 below the support: min(Y,c) = c surely
 	}
 	// E[min(Y,c)] = c − ∫₀ᶜ F, same quadrature as restart.ExpectedRuntime.
-	integral, err := quad.TanhSinh(l.d.CDF, lo, c, 1e-10)
+	integral, err := quad.TanhSinh(d.CDF, lo, c, 1e-10)
 	if err != nil {
 		return 0, fmt.Errorf("policy: integrating CDF: %w", err)
 	}
@@ -141,31 +131,31 @@ func Expected(d dist.Dist, p Policy) (float64, error) {
 	if d == nil {
 		return 0, errors.New("policy: nil distribution")
 	}
-	return price(distLaw{d}, p)
+	return price(d, p)
 }
 
-func price(l law, p Policy) (float64, error) {
+func price(d dist.Dist, p Policy) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
 	switch p.Kind {
 	case NoRestart:
-		return l.mean(), nil
+		return d.Mean(), nil
 	case FixedCutoff, FittedOptimal:
 		if math.IsInf(p.Cutoff, 1) {
-			return l.mean(), nil
+			return d.Mean(), nil
 		}
-		fc := l.cdf(p.Cutoff)
+		fc := d.CDF(p.Cutoff)
 		if fc <= 0 {
 			return math.Inf(1), nil
 		}
-		tm, err := l.truncMean(p.Cutoff)
+		tm, err := truncMean(d, p.Cutoff)
 		if err != nil {
 			return 0, err
 		}
 		return tm / fc, nil
 	default: // Luby
-		return lubyExpected(l, p.Unit)
+		return lubyExpected(d, p.Unit)
 	}
 }
 
@@ -186,7 +176,7 @@ const (
 // memoizing E[min(Y,c)] and F(c) per distinct cutoff — the Luby
 // sequence only ever visits log-many distinct values, so the series
 // costs O(runs) lookups plus O(log) truncated means.
-func lubyExpected(l law, u float64) (float64, error) {
+func lubyExpected(d dist.Dist, u float64) (float64, error) {
 	type memo struct{ tm, fc float64 }
 	cache := make(map[int64]memo, 24)
 	survival := 1.0
@@ -196,11 +186,11 @@ func lubyExpected(l law, u float64) (float64, error) {
 		m, ok := cache[term]
 		if !ok {
 			c := u * float64(term)
-			tm, err := l.truncMean(c)
+			tm, err := truncMean(d, c)
 			if err != nil {
 				return 0, err
 			}
-			m = memo{tm: tm, fc: l.cdf(c)}
+			m = memo{tm: tm, fc: d.CDF(c)}
 			cache[term] = m
 		}
 		total += survival * m.tm
@@ -237,8 +227,7 @@ func Optimal(d dist.Dist) (Policy, float64, error) {
 }
 
 func optimalStep(d dist.Dist) (Policy, float64, error) {
-	l := distLaw{d}
-	meanY := l.mean()
+	meanY := d.Mean()
 	if math.IsNaN(meanY) {
 		return Policy{}, 0, errors.New("policy: distribution has no mean")
 	}
@@ -250,7 +239,7 @@ func optimalStep(d dist.Dist) (Policy, float64, error) {
 			continue
 		}
 		prev = c
-		e, err := price(l, Policy{Kind: FixedCutoff, Cutoff: c})
+		e, err := price(d, Policy{Kind: FixedCutoff, Cutoff: c})
 		if err != nil {
 			return Policy{}, 0, err
 		}
@@ -307,8 +296,7 @@ func Panel(d dist.Dist) ([]Evaluation, error) {
 	if d == nil {
 		return nil, errors.New("policy: nil distribution")
 	}
-	l := distLaw{d}
-	meanY := l.mean()
+	meanY := d.Mean()
 	if math.IsNaN(meanY) {
 		return nil, errors.New("policy: distribution has no mean")
 	}
@@ -330,7 +318,7 @@ func Panel(d dist.Dist) ([]Evaluation, error) {
 	for i := range evals {
 		e := &evals[i]
 		if e.Policy.Kind == FixedCutoff || e.Policy.Kind == Luby {
-			e.Expected, err = price(l, e.Policy)
+			e.Expected, err = price(d, e.Policy)
 			if err != nil {
 				return nil, err
 			}

@@ -222,7 +222,7 @@ func TestStepLawPricingExact(t *testing.T) {
 	for i := range sample {
 		sample[i] = math.Exp(r.Norm()*1.5 + 3)
 	}
-	e := must(dist.NewEmpirical(sample)).(*dist.Empirical)
+	e := must(dist.NewEmpirical(sample)).(*dist.Step)
 	for _, q := range []float64{0.2, 0.5, 0.8} {
 		c := e.Quantile(q)
 		// Brute force E[min(Y,c)]/F(c).
@@ -347,10 +347,9 @@ func TestNeverSucceedingCutoffPricesInfinite(t *testing.T) {
 // fast path against tanh-sinh on a smooth law where both work.
 func TestTruncatedMeanAgreesWithQuadrature(t *testing.T) {
 	d := must(dist.NewWeibull(1.3, 90))
-	l := distLaw{d}
 	for _, q := range []float64{0.3, 0.7} {
 		c := d.Quantile(q)
-		viaQuad, err := l.truncMean(c)
+		viaQuad, err := truncMean(d, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,8 +87,8 @@ const maxBootstrapSample = 2048
 // returns the percentile interval at the given level. The policy's
 // cutoffs stay fixed across resamples: the interval quantifies
 // sampling noise in the *price* of a committed schedule, not in the
-// schedule choice. Each resample is priced exactly via its own step
-// law, never by quadrature.
+// schedule choice. Each resample is priced exactly as a unit-weight
+// dist.Step over the sorted draws, never by quadrature.
 func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, seed uint64) (CI, error) {
 	if src == nil {
 		return CI{}, errors.New("policy: nil distribution")
@@ -111,12 +111,14 @@ func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, s
 	r := xrand.New(seed)
 	prices := make([]float64, resamples)
 	xs := make([]float64, n)
+	var law dist.Step // reused: wraps xs without copying it
 	for b := 0; b < resamples; b++ {
 		for i := range xs {
 			xs[i] = src.Quantile(r.Float64Open())
 		}
 		sort.Float64s(xs)
-		v, err := price(stepLaw{xs}, p)
+		law = dist.NewStep(xs, nil, nil, xs[0], xs[n-1])
+		v, err := price(&law, p)
 		if err != nil {
 			// Only the Luby series can error on a step law (unit
 			// stuck below the resample's minimum): price it infinite
@@ -127,49 +129,6 @@ func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, s
 	}
 	sort.Float64s(prices)
 	alpha := (1 - level) / 2
-	return CI{
-		Lo:    prices[percentileIndex(alpha, resamples)],
-		Hi:    prices[percentileIndex(1-alpha, resamples)],
-		Level: level,
-	}, nil
-}
-
-func percentileIndex(q float64, m int) int {
-	idx := int(math.Ceil(q*float64(m))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= m {
-		idx = m - 1
-	}
-	return idx
-}
-
-// stepLaw prices a sorted bootstrap resample exactly: uniform mass
-// 1/n per point, truncated means by one bounded pass.
-type stepLaw struct{ xs []float64 } // ascending
-
-func (s stepLaw) mean() float64 {
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-func (s stepLaw) cdf(c float64) float64 {
-	n := sort.Search(len(s.xs), func(i int) bool { return s.xs[i] > c })
-	return float64(n) / float64(len(s.xs))
-}
-
-func (s stepLaw) truncMean(c float64) (float64, error) {
-	var sum float64
-	for _, x := range s.xs {
-		if x > c {
-			sum += c
-			continue
-		}
-		sum += x
-	}
-	return sum / float64(len(s.xs)), nil
+	ranked := dist.NewStep(prices, nil, nil, prices[0], prices[resamples-1])
+	return CI{Lo: ranked.Quantile(alpha), Hi: ranked.Quantile(1 - alpha), Level: level}, nil
 }

@@ -67,8 +67,12 @@ func TestAntiEntropyHealsQuarantinedHintLog(t *testing.T) {
 	// only the digest exchange can. healthz polling is not a campaign
 	// read, so nothing here can trigger read-repair.
 	g.restart(1)
+	// The pulled copy is visible as soon as it is stored, but the
+	// round's counters are only added when the round finishes: wait
+	// for both before reading the counters.
 	poll(t, 10*time.Second, "anti-entropy to restore the lost copy", func() bool {
-		return g.health(1).Campaigns == 1
+		hr := g.health(1)
+		return hr.Campaigns == 1 && hr.AntiEntropy != nil && hr.AntiEntropy.Rounds >= 1
 	})
 	ae := g.health(1).AntiEntropy
 	if ae == nil || ae.Pulled < 1 || ae.Rounds < 1 {

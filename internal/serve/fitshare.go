@@ -97,6 +97,13 @@ func (s *Server) sharedFit(ctx context.Context, hdr http.Header, e *store.Entry,
 	s.fitProbing[e.ID] = c
 	s.fitProbe.Unlock()
 	c.a = s.probeOrDelegate(ctx, e.ID, owners)
+	if _, ok := e.CachedFit(); ok {
+		// A local fit finished while the probe was out — on the primary,
+		// the very fit whose rendering the peers now hold. It beats any
+		// peer's copy, and adopting that copy too would count one fit
+		// twice.
+		c.a = nil
+	}
 	if c.a != nil {
 		e.AdoptFit(c.a)
 	}

@@ -1,6 +1,6 @@
 // Package sketch provides a mergeable quantile sketch for folding an
 // unbounded stream of sequential runtimes into O(k·log(n/k)) memory —
-// the streaming counterpart of dist.Empirical, built so a long-running
+// the streaming counterpart of dist.NewEmpirical, built so a long-running
 // lvserve can ingest campaigns of millions of runs without ever
 // materializing the sample.
 //
@@ -38,10 +38,12 @@
 // rather than accumulate bias). The retained size is at most
 // k·⌈log2(n/k)+1⌉ items regardless of the stream length n.
 //
-// While no compaction has happened (n ≤ k) the sketch is in "exact
-// mode": it is the full sample and every query — CDF, Quantile,
-// Mean, Var, MinExpectation — is bit-identical to dist.Empirical on
-// the same observations.
+// Queries read the retained items as one dist.Step, each item carrying
+// its weight 2^h. While no compaction has happened (n ≤ k) the sketch
+// is in "exact mode": it is the full sample, every weight is 1, and
+// every query — CDF, Quantile, Mean, Var, MinExpectation,
+// TruncatedMean — runs the same code as dist.NewEmpirical on the same
+// observations, so the two agree bit for bit.
 //
 // # Rank-error bound
 //
@@ -71,13 +73,16 @@
 package sketch
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
+	"lasvegas/internal/dist"
 	"lasvegas/internal/xrand"
 )
 
@@ -101,17 +106,8 @@ type Sketch struct {
 	levels      [][]float64 // levels[h] holds items of weight 2^h
 	compactions []uint64    // per-level compaction counts (parity + error bound)
 
-	once *sync.Once // guards vw; replaced by invalidate() after mutations
-	vw   *view
-}
-
-// view is the lazily-built query cache: the retained items expanded
-// into one ascending weighted sample. In exact mode xs is exactly the
-// sorted observation array of dist.Empirical.
-type view struct {
-	xs  []float64 // ascending retained values
-	ws  []float64 // weight of each value (2^level)
-	cum []float64 // cumulative weight; cum[len-1] == float64(n)
+	once *sync.Once // guards st; replaced by invalidate() after mutations
+	st   *dist.Step // query cache: the retained items as a step law
 }
 
 // New returns an empty sketch with compactor capacity k (k ≤ 0 means
@@ -167,7 +163,7 @@ func (s *Sketch) ErrorBound() float64 {
 
 // Exact reports whether the sketch still holds the full sample (no
 // compaction has happened), in which case every query is bit-identical
-// to dist.Empirical on the same observations.
+// to dist.NewEmpirical on the same observations.
 func (s *Sketch) Exact() bool {
 	for _, c := range s.compactions {
 		if c > 0 {
@@ -197,14 +193,14 @@ func (s *Sketch) Add(x float64) error {
 	return nil
 }
 
-// invalidate drops the lazily-built query view after a mutation. The
-// sync.Once is replaced only when a view was actually built: under
+// invalidate drops the lazily-built step law after a mutation. The
+// sync.Once is replaced only when a law was actually built: under
 // the documented contract (writers serialized against readers) an
-// unfired Once with no view is still fresh, which keeps a pure
+// unfired Once with no law is still fresh, which keeps a pure
 // ingest loop — millions of Adds, no queries — allocation-free here.
 func (s *Sketch) invalidate() {
-	if s.vw != nil {
-		s.vw = nil
+	if s.st != nil {
+		s.st = nil
 		s.once = new(sync.Once)
 	}
 }
@@ -315,81 +311,60 @@ func Merge(a, b *Sketch) (*Sketch, error) {
 	return m, nil
 }
 
-// view returns the query cache, building it on first use after a
-// mutation. Safe for concurrent readers.
-func (s *Sketch) view() *view {
+// law returns the retained items as a dist.Step, building it on first
+// use after a mutation. Each item carries its compactor weight 2^h in
+// rank units, so in exact mode every weight is 1 and the law is the
+// unit-weight step law of dist.NewEmpirical over the same sample: the
+// two run the same code. Safe for concurrent readers.
+func (s *Sketch) law() *dist.Step {
 	once := s.once
 	once.Do(func() {
-		total := s.Retained()
-		v := &view{
-			xs:  make([]float64, 0, total),
-			ws:  make([]float64, 0, total),
-			cum: make([]float64, total),
-		}
+		type atom struct{ x, w float64 }
+		atoms := make([]atom, 0, s.Retained())
 		for h, lv := range s.levels {
 			w := float64(uint64(1) << uint(h))
 			for _, x := range lv {
-				v.xs = append(v.xs, x)
-				v.ws = append(v.ws, w)
+				atoms = append(atoms, atom{x, w})
 			}
 		}
-		sort.Sort(weightedSample{v.xs, v.ws})
+		// Ascending by value, ties by weight: a fully deterministic order.
+		slices.SortFunc(atoms, func(a, b atom) int {
+			return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.w, b.w))
+		})
+		xs := make([]float64, len(atoms))
+		cum := make([]float64, len(atoms))
 		var run float64
-		for i := range v.xs {
-			run += v.ws[i]
-			v.cum[i] = run
+		for i, a := range atoms {
+			xs[i] = a.x
+			run += a.w
+			cum[i] = run
 		}
-		s.vw = v
+		if run == float64(len(atoms)) {
+			cum = nil // unit weights: the exact sample
+		}
+		st := dist.NewStep(xs, cum, nil, s.min, s.max)
+		s.st = &st
 	})
-	return s.vw
-}
-
-// weightedSample sorts the paired value/weight slices by value (ties
-// by weight, for a fully deterministic order).
-type weightedSample struct{ xs, ws []float64 }
-
-func (p weightedSample) Len() int { return len(p.xs) }
-func (p weightedSample) Less(i, j int) bool {
-	if p.xs[i] != p.xs[j] {
-		return p.xs[i] < p.xs[j]
-	}
-	return p.ws[i] < p.ws[j]
-}
-func (p weightedSample) Swap(i, j int) {
-	p.xs[i], p.xs[j] = p.xs[j], p.xs[i]
-	p.ws[i], p.ws[j] = p.ws[j], p.ws[i]
+	return s.st
 }
 
 // CDF implements dist.Dist: the estimated fraction of observations
-// ≤ x, by binary search on the weighted retained sample. In exact
-// mode it equals the ECDF exactly; otherwise within ErrorBound.
+// ≤ x. In exact mode it equals the ECDF exactly; otherwise within
+// ErrorBound.
 func (s *Sketch) CDF(x float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
-	v := s.view()
-	i := sort.Search(len(v.xs), func(i int) bool { return v.xs[i] > x })
-	if i == 0 {
-		return 0
-	}
-	return v.cum[i-1] / float64(s.n)
+	return s.law().CDF(x)
 }
 
-// PDF implements dist.Dist with the same central finite difference of
-// the estimated CDF that dist.Empirical uses.
+// PDF implements dist.Dist with the finite-difference density of the
+// step law.
 func (s *Sketch) PDF(x float64) float64 {
 	if s.n == 0 {
 		return 0
 	}
-	span := s.max - s.min
-	if span == 0 {
-		if x == s.min {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	h := span / math.Sqrt(float64(s.n))
-	return (s.CDF(x+h) - s.CDF(x-h)) / (2 * h)
+	return s.law().PDF(x)
 }
 
 // Quantile implements dist.Dist: the smallest retained value whose
@@ -399,24 +374,7 @@ func (s *Sketch) Quantile(p float64) float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
-	if p <= 0 {
-		return s.min
-	}
-	if p >= 1 {
-		return s.max
-	}
-	return s.quantileRank(p * float64(s.n))
-}
-
-// quantileRank returns the smallest retained value whose cumulative
-// weight is ≥ the target rank.
-func (s *Sketch) quantileRank(rank float64) float64 {
-	v := s.view()
-	i := sort.Search(len(v.cum), func(i int) bool { return v.cum[i] >= rank })
-	if i >= len(v.xs) {
-		i = len(v.xs) - 1
-	}
-	return v.xs[i]
+	return s.law().Quantile(p)
 }
 
 // QuantileBatch implements dist.BatchQuantiler.
@@ -435,29 +393,23 @@ func (s *Sketch) FitSample(m int) []float64 {
 	if s.n == 0 || m <= 0 {
 		return nil
 	}
+	st := s.law()
 	out := make([]float64, m)
 	nf := float64(s.n)
 	mf := float64(m)
 	for i := 0; i < m; i++ {
-		rank := math.Ceil(float64(i+1) * nf / mf)
-		out[i] = s.quantileRank(rank)
+		out[i] = st.QuantileRank(math.Ceil(float64(i+1) * nf / mf))
 	}
 	return out
 }
 
 // Mean implements dist.Dist: the weighted mean of the retained
-// sample, accumulated in ascending order (bit-identical to
-// dist.Empirical in exact mode; within ErrorBound·(max−min) after).
+// sample (exact in exact mode; within ErrorBound·(max−min) after).
 func (s *Sketch) Mean() float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
-	v := s.view()
-	var sum float64
-	for i, x := range v.xs {
-		sum += x * v.ws[i]
-	}
-	return sum / float64(s.n)
+	return s.law().Mean()
 }
 
 // Var implements dist.Dist (population variance of the weighted
@@ -466,23 +418,16 @@ func (s *Sketch) Var() float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
-	mean := s.Mean()
-	v := s.view()
-	var m2 float64
-	for i, x := range v.xs {
-		d := x - mean
-		m2 += v.ws[i] * d * d
-	}
-	return m2 / float64(s.n)
+	return s.law().Var()
 }
 
-// Sample implements dist.Dist: an inverse-CDF draw over the weighted
-// retained sample.
+// Sample implements dist.Dist: a draw from the weighted retained
+// sample.
 func (s *Sketch) Sample(r *xrand.Rand) float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
-	return s.quantileRank(r.Float64Open() * float64(s.n))
+	return s.law().Sample(r)
 }
 
 // Support implements dist.Dist with the exactly-tracked stream
@@ -502,63 +447,32 @@ func (s *Sketch) String() string {
 
 // MinExpectation returns the expectation of the minimum of n i.i.d.
 // draws from the sketched distribution, in one exact pass over the
-// weighted retained sample:
-//
-//	E[Z(n)] = Σᵢ x₍ᵢ₎ · (Sᵢ₋₁ⁿ − Sᵢⁿ),  Sᵢ = 1 − cumᵢ/N,
-//
-// the same survival-step form dist.Empirical and survival.KaplanMeier
-// use — and the hook orderstat.Min dispatches on, so sketch-backed
-// models get the exact plug-in path with no quadrature. Bit-identical
-// to dist.Empirical in exact mode.
+// weighted retained sample — the hook orderstat.Min dispatches on, so
+// sketch-backed models get the exact plug-in path with no quadrature.
 func (s *Sketch) MinExpectation(n int) float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
-	if n <= 1 {
-		return s.Mean()
-	}
-	v := s.view()
-	nf := float64(n)
-	W := float64(s.n)
-	var sum float64
-	hi := 1.0
-	for i, x := range v.xs {
-		lo := math.Pow((W-v.cum[i])/W, nf)
-		sum += x * (hi - lo)
-		hi = lo
-	}
-	return sum
+	return s.law().MinExpectation(n)
 }
 
 // TruncatedMean returns E[min(Y, c)] in one pass over the weighted
 // retained sample — exact below capacity, within the sketch's rank
-// error above it. It is the restart-policy pricing hook: exact
-// truncated means on step laws avoid quadrature over a discontinuous
-// CDF.
+// error above it. It is the restart-policy pricing hook.
 func (s *Sketch) TruncatedMean(c float64) float64 {
 	if s.n == 0 {
 		return math.NaN()
 	}
-	v := s.view()
-	W := float64(s.n)
-	var sum, below float64
-	for i, x := range v.xs {
-		if x > c {
-			break
-		}
-		sum += x * v.ws[i]
-		below = v.cum[i]
-	}
-	return (sum + c*(W-below)) / W
+	return s.law().TruncatedMean(c)
 }
 
 // MinSample draws one realization of min(X₁..Xₙ) by the inverse-CDF
-// identity Z(n) = Q(1-(1-U)^{1/n}) — the same O(1)-per-draw engine
-// dist.Empirical gives multiwalk.Simulate.
+// identity Z(n) = Q(1-(1-U)^{1/n}).
 func (s *Sketch) MinSample(n int, r *xrand.Rand) float64 {
-	u := r.Float64Open()
-	p := -math.Expm1(math.Log1p(-u) / float64(n))
-	return s.Quantile(p)
+	if s.n == 0 {
+		return math.NaN()
+	}
+	return s.law().MinSample(n, r)
 }
 
 // sketchJSON is the canonical wire form: levels are sorted copies, so

@@ -85,8 +85,10 @@ func TestAddRejectsNonFinite(t *testing.T) {
 }
 
 // In exact mode (n ≤ k) every query must be bit-identical to
-// dist.Empirical on the same sample — the property that makes the
-// sketch a drop-in for small campaigns.
+// dist.NewEmpirical on the same sample — the property that makes the
+// sketch a drop-in for small campaigns. TruncatedMean is checked at
+// cutoffs below the minimum, on atoms, between atoms and above the
+// maximum; Sample and MinSample under equal seeds.
 func TestExactModeMatchesEmpirical(t *testing.T) {
 	for name, xs := range testSamples(500) {
 		t.Run(name, func(t *testing.T) {
@@ -117,9 +119,12 @@ func TestExactModeMatchesEmpirical(t *testing.T) {
 					t.Errorf("Quantile(%v) = %v, want %v", p, got, want)
 				}
 			}
-			for _, x := range []float64{xs[0], xs[len(xs)/2], slo - 1, shi + 1, (slo + shi) / 2} {
+			for _, x := range []float64{xs[0], xs[len(xs)/2], slo - 1, shi + 1, (slo + shi) / 2, (slo+shi)/2 + 0.25} {
 				if got, want := s.CDF(x), e.CDF(x); got != want {
 					t.Errorf("CDF(%v) = %v, want %v", x, got, want)
+				}
+				if got, want := s.TruncatedMean(x), e.TruncatedMean(x); got != want {
+					t.Errorf("TruncatedMean(%v) = %v, want %v", x, got, want)
 				}
 				if got, want := s.PDF(x), e.PDF(x); got != want {
 					t.Errorf("PDF(%v) = %v, want %v", x, got, want)
@@ -128,6 +133,15 @@ func TestExactModeMatchesEmpirical(t *testing.T) {
 			for _, n := range []int{1, 2, 16, 64, 1024, 8192} {
 				if got, want := s.MinExpectation(n), e.MinExpectation(n); got != want {
 					t.Errorf("MinExpectation(%d) = %v, want %v", n, got, want)
+				}
+			}
+			r1, r2 := xrand.New(11), xrand.New(11)
+			for i := 0; i < 100; i++ {
+				if got, want := s.Sample(r1), e.Sample(r2); got != want {
+					t.Fatalf("Sample %d = %v, want %v", i, got, want)
+				}
+				if got, want := s.MinSample(64, r1), e.MinSample(64, r2); got != want {
+					t.Fatalf("MinSample %d = %v, want %v", i, got, want)
 				}
 			}
 		})

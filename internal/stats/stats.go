@@ -144,39 +144,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// ECDF is an empirical cumulative distribution function built from a
-// sample. The zero value is unusable; construct with NewECDF.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF copies and sorts xs. It returns an error for empty input.
-func NewECDF(xs []float64) (*ECDF, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}, nil
-}
-
-// Eval returns F̂(x) = (#samples ≤ x) / n.
-func (e *ECDF) Eval(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x;
-	// we need strictly greater to count ties as ≤ x.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Sorted exposes the sorted sample (read-only by convention).
-func (e *ECDF) Sorted() []float64 { return e.sorted }
-
-// Quantile returns the p-quantile of the underlying sample.
-func (e *ECDF) Quantile(p float64) float64 { return quantileSorted(e.sorted, p) }
-
 // Histogram is a uniform-bin density histogram over [Lo, Hi).
 type Histogram struct {
 	Lo, Hi float64

@@ -95,44 +95,6 @@ func TestSkewness(t *testing.T) {
 	}
 }
 
-func TestECDF(t *testing.T) {
-	e, err := NewECDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if f := e.Eval(c.x); f != c.want {
-			t.Errorf("F(%v) = %v, want %v", c.x, f, c.want)
-		}
-	}
-	if e.Len() != 4 {
-		t.Errorf("Len %d", e.Len())
-	}
-}
-
-func TestECDFEmpty(t *testing.T) {
-	if _, err := NewECDF(nil); err == nil {
-		t.Error("empty ECDF should error")
-	}
-}
-
-func TestECDFProperty(t *testing.T) {
-	e, _ := NewECDF([]float64{3, 1, 4, 1, 5, 9, 2, 6})
-	f := func(a, b float64) bool {
-		if a > b {
-			a, b = b, a
-		}
-		fa, fb := e.Eval(a), e.Eval(b)
-		return fa >= 0 && fb <= 1 && fa <= fb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHistogramDensityIntegratesToOne(t *testing.T) {
 	xs := []float64{1, 2, 2.5, 3, 3.7, 4, 4, 5, 8, 9.1}
 	h, err := NewHistogram(xs, 7)

@@ -9,13 +9,14 @@
 // estimators rather than discarded. This package provides the two
 // standard tools, shaped to this repository's prediction pipeline:
 //
-//   - KaplanMeier — the nonparametric product-limit estimator,
-//     exposed as a dist.Dist with the same sorted-backing design as
-//     dist.Empirical: O(log m) CDF, O(log m) quantile, and an exact
-//     one-pass MinExpectation, so a censored campaign can still feed
-//     the plug-in speed-up predictor G(n) = E[Y]/E[Z(n)]. On a
-//     censoring-free sample a KaplanMeier reproduces dist.Empirical
-//     bit for bit.
+//   - KaplanMeier — the nonparametric product-limit estimator. Its
+//     constructor only computes the product-limit steps; the law
+//     itself is a dist.Step (O(log m) CDF and quantile, exact
+//     one-pass MinExpectation and TruncatedMean), so a censored
+//     campaign can still feed the plug-in speed-up predictor
+//     G(n) = E[Y]/E[Z(n)]. On a censoring-free sample the steps are
+//     the unit weights of dist.NewEmpirical, so a KaplanMeier runs the
+//     same code as the empirical law and matches it bit for bit.
 //   - Censored maximum likelihood for the parametric families the
 //     paper accepts (exponential, shifted exponential, lognormal)
 //     plus the min-stable Weibull: closed forms where they exist

@@ -25,8 +25,10 @@ func censorAt(sample []float64, c float64) (values []float64, flags []bool) {
 }
 
 // TestKMMatchesEmpiricalUncensored: on a censoring-free sample the
-// product-limit estimator must reproduce dist.Empirical bit for bit —
-// CDF, Quantile, Mean, Var, Sample and the exact MinExpectation. This
+// product-limit estimator must reproduce dist.NewEmpirical bit for bit
+// — CDF, Quantile, Mean, Var, Sample, MinSample and the exact
+// MinExpectation and TruncatedMean (cutoffs below the minimum, on
+// atoms, between atoms and above the maximum). This
 // is the acceptance contract that lets the plug-in predictor switch
 // estimators based on censoring without changing any complete-sample
 // result.
@@ -57,6 +59,9 @@ func TestKMMatchesEmpiricalUncensored(t *testing.T) {
 		if got, want := km.CDF(x), emp.CDF(x); got != want {
 			t.Errorf("CDF(%v): KM %v vs Empirical %v", x, got, want)
 		}
+		if got, want := km.TruncatedMean(x), emp.TruncatedMean(x); got != want {
+			t.Errorf("TruncatedMean(%v): KM %v vs Empirical %v", x, got, want)
+		}
 	}
 	for p := 0.0; p <= 1.0; p += 0.001 {
 		if got, want := km.Quantile(p), emp.Quantile(p); got != want {
@@ -72,6 +77,9 @@ func TestKMMatchesEmpiricalUncensored(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if got, want := km.Sample(r1), emp.Sample(r2); got != want {
 			t.Fatalf("Sample %d: KM %v vs Empirical %v", i, got, want)
+		}
+		if got, want := km.MinSample(16, r1), emp.MinSample(16, r2); got != want {
+			t.Fatalf("MinSample %d: KM %v vs Empirical %v", i, got, want)
 		}
 	}
 }

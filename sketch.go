@@ -11,12 +11,14 @@ import (
 // of runs stream through lvserve without ever materializing the
 // sample. It is an alias of the internal/sketch implementation (a
 // deterministic KLL-style compactor hierarchy; see that package's
-// documentation for the algorithm choice and the rank-error bound):
-// CDF/PDF/Quantile/Mean/Var/Sample/Support behave like the empirical
-// distribution of the folded stream — bit-identical to it while the
-// sketch is Exact (n ≤ k) and within ErrorBound after — and
-// MinExpectation keeps the exact one-pass plug-in prediction form, so
-// a sketch-backed Model predicts speed-ups with no quadrature.
+// documentation for the algorithm choice and the rank-error bound).
+// Its queries run on the same step-law code as the empirical plug-in
+// law, with each retained item weighted by the observations it stands
+// for: CDF/PDF/Quantile/Mean/Var/Sample/Support are bit-identical to
+// the empirical distribution of the folded stream while the sketch is
+// Exact (n ≤ k) and within ErrorBound after, and MinExpectation keeps
+// the exact one-pass plug-in prediction form, so a sketch-backed Model
+// predicts speed-ups with no quadrature.
 //
 // Sketches of equal capacity merge associatively (up to the
 // documented bound) and commute byte-exactly, which is what lets
