@@ -250,10 +250,13 @@ func TestEmpiricalTies(t *testing.T) {
 	approx(t, e.CDF(5), 0.75, 1e-12, "tied CDF")
 	// min of 2: P(both are 10) = 1/16 → E = 5·15/16 + 10/16.
 	approx(t, e.MinExpectation(2), 5*15.0/16+10.0/16, 1e-12, "tied MinExpectation")
+}
 
-	// A tie in the middle of the sample: the CDF counts every tied
-	// observation at the atom and none just below it.
-	e, err = dist.NewEmpirical([]float64{1, 2, 2, 3})
+// TestEmpiricalECDF: with a tie in the middle of the sample the CDF is
+// the plain ECDF, #(samples ≤ x)/n — every tied observation counts at
+// the atom and none just below it.
+func TestEmpiricalECDF(t *testing.T) {
+	e, err := dist.NewEmpirical([]float64{1, 2, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,6 +266,9 @@ func TestEmpiricalTies(t *testing.T) {
 		if f := e.CDF(c.x); f != c.want {
 			t.Errorf("F(%v) = %v, want %v", c.x, f, c.want)
 		}
+	}
+	if e.Len() != 4 {
+		t.Errorf("Len %d, want 4", e.Len())
 	}
 }
 
