@@ -127,15 +127,13 @@ func main() {
 	fmt.Printf("speed-up limit (n→∞): %.4g   tangent at origin: %.4g\n", best.Limit(), best.TangentAtOrigin())
 
 	// The same fitted law also prices the restart strategy.
-	if opt, err := best.OptimalRestart(); err == nil {
-		switch {
-		case opt.Gain > 1.001:
-			fmt.Printf("restart analysis: cutoff %.4g gains %.2fx sequentially (heavy tail)\n\n", opt.Cutoff, opt.Gain)
-		default:
-			fmt.Printf("restart analysis: no finite cutoff helps (gain %.3f) — parallelize instead\n\n", opt.Gain)
-		}
-	} else {
-		fmt.Println()
+	switch opt, err := best.OptimalRestart(); {
+	case err != nil:
+		fmt.Printf("restart analysis: unavailable (%v)\n\n", err)
+	case opt.Gain > 1.001:
+		fmt.Printf("restart analysis: cutoff %.4g gains %.2fx sequentially (heavy tail)\n\n", opt.Cutoff, opt.Gain)
+	default:
+		fmt.Printf("restart analysis: no finite cutoff helps (gain %.3f) — parallelize instead\n\n", opt.Gain)
 	}
 
 	fmt.Printf("%-8s %16s %16s\n", "cores", "G(n) parametric", "G(n) plug-in")

@@ -96,12 +96,13 @@
 // four standard ones — never restarting, a fixed cutoff at the
 // median, the Luby universal sequence, and the law's own optimal
 // cutoff — by expected runtime under the Luby–Sinclair–Zuckerman
-// identity E[T(c)] = E[min(Y,c)]/F(c). Predictor.PolicyTable goes
-// further: each closed-form price is validated by a deterministic
-// seeded replay of the campaign (inverse-CDF resampling with
-// per-attempt cutoff truncation) plus a bootstrap percentile CI on
-// the campaign's own plug-in law, and the rows come back ranked with
-// a binding winner:
+// identity E[T(c)] = E[min(Y,c)]/F(c). Model.OptimalRestart is the
+// panel's fitted-optimal row on its own, priced by the same code.
+// Predictor.PolicyTable goes further: each closed-form price is
+// validated by a deterministic seeded replay of the campaign
+// (inverse-CDF resampling with per-attempt cutoff truncation) plus a
+// bootstrap percentile CI on the campaign's own plug-in law, and the
+// rows come back ranked with a binding winner:
 //
 //	table, err := p.PolicyTable(ctx, campaign, model)
 //	if err != nil {

@@ -12,14 +12,20 @@
 //     schedule, within an O(log) factor of the unknown optimum;
 //   - fitted-optimal: the best fixed cutoff for the law at hand
 //     (Brent search on smooth laws, an exact atom scan on step laws).
+//     This is the one restart pricer: lasvegas.Model.OptimalRestart
+//     and the panel's fitted-optimal row both come from Optimal.
+//
+// On an exponential law restarts are exactly neutral (memorylessness);
+// on a shifted exponential they strictly hurt, since each restart
+// repays the shift; heavy tails reward a finite cutoff.
 //
 // Every closed form runs through E[min(Y,c)], which step laws expose
 // exactly via a TruncatedMean method — so plug-in pricing never
 // integrates a discontinuous CDF. The one step-law implementation is
 // dist.Step: the empirical law, Kaplan–Meier and quantile sketches are
 // all built on it, and BootstrapCI prices each resample as one. Smooth
-// fitted laws fall back to tanh-sinh quadrature, identical to
-// internal/restart.
+// fitted laws fall back to tanh-sinh quadrature of the CDF:
+// E[min(Y,c)] = c − ∫₀ᶜ F.
 //
 // The closed forms are validated two independent ways (see Simulate
 // and BootstrapCI): a deterministic seeded replay that re-runs the
@@ -35,8 +41,8 @@ import (
 	"sort"
 
 	"lasvegas/internal/dist"
+	"lasvegas/internal/optim"
 	"lasvegas/internal/quad"
-	"lasvegas/internal/restart"
 )
 
 // Kind names a restart strategy. The strings are wire-stable: they
@@ -67,7 +73,7 @@ func (p Policy) CutoffAt(i int) float64 {
 	case FixedCutoff, FittedOptimal:
 		return p.Cutoff
 	case Luby:
-		return p.Unit * float64(restart.LubyTerm(i))
+		return p.Unit * float64(lubyTerm(i))
 	default:
 		return math.Inf(1)
 	}
@@ -115,7 +121,7 @@ func truncMean(d dist.Dist, c float64) (float64, error) {
 	if c <= lo {
 		return c, nil // F ≡ 0 below the support: min(Y,c) = c surely
 	}
-	// E[min(Y,c)] = c − ∫₀ᶜ F, same quadrature as restart.ExpectedRuntime.
+	// E[min(Y,c)] = c − ∫₀ᶜ F.
 	integral, err := quad.TanhSinh(d.CDF, lo, c, 1e-10)
 	if err != nil {
 		return 0, fmt.Errorf("policy: integrating CDF: %w", err)
@@ -182,7 +188,7 @@ func lubyExpected(d dist.Dist, u float64) (float64, error) {
 	survival := 1.0
 	var total float64
 	for i := 1; i <= lubyMaxRuns; i++ {
-		term := restart.LubyTerm(i)
+		term := lubyTerm(i)
 		m, ok := cache[term]
 		if !ok {
 			c := u * float64(term)
@@ -202,36 +208,90 @@ func lubyExpected(d dist.Dist, u float64) (float64, error) {
 	return 0, fmt.Errorf("policy: luby series did not converge in %d runs (unit %g below the law's support?)", lubyMaxRuns, u)
 }
 
+// lubyTerm returns the i-th term (1-based) of the Luby universal
+// sequence 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,… without materializing a
+// prefix — attempt indices in the replay are unbounded.
+func lubyTerm(i int) int64 {
+	if i < 1 {
+		return 1
+	}
+	// If i = 2^k − 1, the term is 2^{k−1}; otherwise recurse on
+	// i − (2^{k−1} − 1) with k the smallest power with i < 2^k − 1.
+	for k := uint(1); ; k++ {
+		if int64(i) == (1<<k)-1 {
+			return 1 << (k - 1)
+		}
+		if int64(i) < (1<<k)-1 {
+			return lubyTerm(i - (1 << (k - 1)) + 1)
+		}
+	}
+}
+
 // optimalGrid caps the number of quantile atoms scanned when locating
 // the optimal cutoff of a step law.
 const optimalGrid = 512
 
-// Optimal finds the best fixed-cutoff policy under d. Smooth laws go
-// through restart.OptimalCutoff (Brent on a log axis); step laws —
+// Optimal finds the best fixed-cutoff policy under d. Step laws —
 // recognizable by their exact TruncatedMean — get an exact scan over
 // quantile atoms, where the optimum of a piecewise-linear-over-step
-// objective must sit. Cutoff = +Inf with the mean as price means
-// restarts cannot beat running to completion.
+// objective must sit; smooth laws get a Brent search on a log cutoff
+// axis. Either way, a win of less than a ppb over running to
+// completion is numerical noise, and the result is Cutoff = +Inf
+// priced at the mean: restarts cannot help. An infinite mean (e.g.
+// Lévy) makes any finite price a win.
 func Optimal(d dist.Dist) (Policy, float64, error) {
 	if d == nil {
 		return Policy{}, 0, errors.New("policy: nil distribution")
 	}
-	if _, ok := d.(truncatedMeaner); ok {
-		return optimalStep(d)
-	}
-	opt, err := restart.OptimalCutoff(d)
-	if err != nil {
-		return Policy{}, 0, err
-	}
-	return Policy{Kind: FittedOptimal, Cutoff: opt.Cutoff}, opt.Expected, nil
-}
-
-func optimalStep(d dist.Dist) (Policy, float64, error) {
 	meanY := d.Mean()
 	if math.IsNaN(meanY) {
 		return Policy{}, 0, errors.New("policy: distribution has no mean")
 	}
-	bestC, bestE := math.Inf(1), meanY
+	search := optimalSmooth
+	if _, ok := d.(truncatedMeaner); ok {
+		search = optimalStep
+	}
+	c, e, err := search(d, meanY)
+	if err != nil {
+		return Policy{}, 0, err
+	}
+	if e >= meanY*(1-1e-9) {
+		return Policy{Kind: FittedOptimal, Cutoff: math.Inf(1)}, meanY, nil
+	}
+	return Policy{Kind: FittedOptimal, Cutoff: c}, e, nil
+}
+
+// optimalSmooth minimizes the fixed-cutoff price by Brent search over
+// log c, spanning the law's quantile range [q(1e-4), q(1-1e-6)].
+func optimalSmooth(d dist.Dist, meanY float64) (c, e float64, err error) {
+	loQ := d.Quantile(1e-4)
+	hiQ := d.Quantile(1 - 1e-6)
+	if !(loQ > 0) {
+		loQ = math.Max(1e-9, d.Quantile(0.01))
+	}
+	if !(hiQ > loQ) || math.IsInf(hiQ, 1) {
+		hiQ = math.Max(loQ*1e6, meanY*100)
+	}
+	obj := func(logc float64) float64 {
+		e, err := price(d, Policy{Kind: FixedCutoff, Cutoff: math.Exp(logc)})
+		if err != nil {
+			return math.Inf(1)
+		}
+		return e
+	}
+	logc, err := optim.BrentMin(obj, math.Log(loQ), math.Log(hiQ), 1e-8)
+	if err != nil {
+		return 0, 0, fmt.Errorf("policy: cutoff search: %w", err)
+	}
+	c = math.Exp(logc)
+	e, err = price(d, Policy{Kind: FixedCutoff, Cutoff: c})
+	return c, e, err
+}
+
+// optimalStep scans the step law's quantile atoms for the cheapest
+// fixed cutoff; (+Inf, E[Y]) when none beats running to completion.
+func optimalStep(d dist.Dist, meanY float64) (bestC, bestE float64, err error) {
+	bestC, bestE = math.Inf(1), meanY
 	prev := math.NaN()
 	for i := 1; i <= optimalGrid; i++ {
 		c := d.Quantile(float64(i) / float64(optimalGrid+1))
@@ -241,18 +301,13 @@ func optimalStep(d dist.Dist) (Policy, float64, error) {
 		prev = c
 		e, err := price(d, Policy{Kind: FixedCutoff, Cutoff: c})
 		if err != nil {
-			return Policy{}, 0, err
+			return 0, 0, err
 		}
 		if e < bestE {
 			bestC, bestE = c, e
 		}
 	}
-	// Mirror restart.OptimalCutoff's neutrality band: a sub-ppb win
-	// is numerical noise, not a reason to restart.
-	if !math.IsInf(bestC, 1) && bestE >= meanY*(1-1e-9) {
-		return Policy{Kind: FittedOptimal, Cutoff: math.Inf(1)}, meanY, nil
-	}
-	return Policy{Kind: FittedOptimal, Cutoff: bestC}, bestE, nil
+	return bestC, bestE, nil
 }
 
 // Evaluation is one priced row of a Panel.
@@ -293,17 +348,11 @@ func priceTied(a, b float64) bool {
 // break by tiePreference, so the winner is deterministic — and is
 // no-restart on an exponential law, by memorylessness.
 func Panel(d dist.Dist) ([]Evaluation, error) {
-	if d == nil {
-		return nil, errors.New("policy: nil distribution")
-	}
-	meanY := d.Mean()
-	if math.IsNaN(meanY) {
-		return nil, errors.New("policy: distribution has no mean")
-	}
-	optP, optE, err := Optimal(d)
+	optP, optE, err := Optimal(d) // rejects a nil law and one with no mean
 	if err != nil {
 		return nil, err
 	}
+	meanY := d.Mean()
 	median := d.Quantile(0.5)
 	unit := d.Quantile(0.05)
 	if !(unit > 0) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"lasvegas/internal/dist"
-	"lasvegas/internal/restart"
 	"lasvegas/internal/xrand"
 )
 
@@ -18,9 +17,11 @@ func must[D dist.Dist](d D, err error) dist.Dist {
 	return d
 }
 
-// TestExpectedMatchesRestart pins the fixed-cutoff closed form to
-// restart.ExpectedRuntime — the two must price identical strategies
-// identically, since both evaluate the LSZ formula.
+// TestExpectedMatchesRestart pins the fixed-cutoff closed form to an
+// independent formulation of the same restart strategy: the
+// geometric-trials decomposition E[T] = c·(1−F)/F + E[Y | Y ≤ c], with
+// E[Y | Y ≤ c]·F(c) = c·F(c) − ∫₀ᶜ F by parts and the integral taken
+// as a plain midpoint sum rather than by tanh-sinh.
 func TestExpectedMatchesRestart(t *testing.T) {
 	laws := []struct {
 		name string
@@ -28,22 +29,120 @@ func TestExpectedMatchesRestart(t *testing.T) {
 	}{
 		{"exponential", must(dist.NewExponential(0.01))},
 		{"lognormal", must(dist.NewLogNormal(0, 5, 1.5))},
-		{"weibull", must(dist.NewWeibull(0.5, 200))},
+		{"weibull-0.5", must(dist.NewWeibull(0.5, 200))},
+		{"weibull-0.7", must(dist.NewWeibull(0.7, 100))},
 	}
 	for _, law := range laws {
 		for _, q := range []float64{0.1, 0.5, 0.9} {
 			c := law.d.Quantile(q)
-			want, err := restart.ExpectedRuntime(law.d, c)
-			if err != nil {
-				t.Fatalf("%s q=%v: restart.ExpectedRuntime: %v", law.name, q, err)
-			}
+			fc := law.d.CDF(c)
+			want := c*(1-fc)/fc + (c*fc-midpointCDF(law.d, c))/fc
 			got, err := Expected(law.d, Policy{Kind: FixedCutoff, Cutoff: c})
 			if err != nil {
 				t.Fatalf("%s q=%v: Expected: %v", law.name, q, err)
 			}
-			if rel := math.Abs(got-want) / want; rel > 1e-9 {
-				t.Errorf("%s cutoff q(%v)=%v: policy %v vs restart %v (rel %v)", law.name, q, c, got, want, rel)
+			// The midpoint sum is the looser side: ~6e-9 relative on the
+			// k = 0.5 Weibull, whose CDF grows like √t at 0.
+			if rel := math.Abs(got-want) / want; rel > 1e-7 {
+				t.Errorf("%s cutoff q(%v)=%v: closed form %v vs geometric trials %v (rel %v)", law.name, q, c, got, want, rel)
 			}
+		}
+	}
+}
+
+// midpointCDF integrates d's CDF over [0, c] by a 200k-point midpoint
+// sum.
+func midpointCDF(d dist.Dist, c float64) float64 {
+	const steps = 200000
+	h := c / steps
+	sum := 0.0
+	for i := 0; i < steps; i++ {
+		sum += d.CDF((float64(i) + 0.5) * h)
+	}
+	return sum * h
+}
+
+// TestExpectedValidation: a nil law and a non-positive cutoff are
+// errors, not prices.
+func TestExpectedValidation(t *testing.T) {
+	d := must(dist.NewExponential(1))
+	if _, err := Expected(nil, Policy{Kind: FixedCutoff, Cutoff: 1}); err == nil {
+		t.Error("Expected accepted a nil distribution")
+	}
+	if _, _, err := Optimal(nil); err == nil {
+		t.Error("Optimal accepted a nil distribution")
+	}
+	if _, err := Panel(nil); err == nil {
+		t.Error("Panel accepted a nil distribution")
+	}
+	for _, c := range []float64{0, -1, math.NaN()} {
+		if _, err := Expected(d, Policy{Kind: FixedCutoff, Cutoff: c}); err == nil {
+			t.Errorf("cutoff %v accepted", c)
+		}
+	}
+}
+
+// TestExponentialMemoryless: for the unshifted exponential, restarts
+// are exactly neutral — E[T(c)] = 1/λ for every cutoff.
+func TestExponentialMemoryless(t *testing.T) {
+	d := must(dist.NewExponential(0.001))
+	for _, c := range []float64{50, 500, 5000, 50000} {
+		e, err := Expected(d, Policy{Kind: FixedCutoff, Cutoff: c})
+		if err != nil {
+			t.Fatalf("c=%v: %v", c, err)
+		}
+		if rel := math.Abs(e-1000) / 1000; rel > 1e-6 {
+			t.Errorf("c=%v: E[T] = %v, want 1000", c, e)
+		}
+	}
+}
+
+// TestShiftedExponentialRestartsHurt: each restart repays the x0
+// entry cost, so E[T(c)] ≥ E[Y] for any finite cutoff and the optimal
+// policy is to never restart.
+func TestShiftedExponentialRestartsHurt(t *testing.T) {
+	d := must(dist.NewShiftedExponential(100, 1e-3))
+	meanY := d.Mean() // 1100
+	for _, c := range []float64{150, 400, 2000, 20000} {
+		e, err := Expected(d, Policy{Kind: FixedCutoff, Cutoff: c})
+		if err != nil {
+			t.Fatalf("c=%v: %v", c, err)
+		}
+		if e < meanY*(1-1e-9) {
+			t.Errorf("cutoff %v: E[T]=%v beats E[Y]=%v for a shifted exponential", c, e, meanY)
+		}
+	}
+	p, e, err := Optimal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(p.Cutoff, 1) {
+		t.Errorf("optimal cutoff %v, want +Inf (never restart)", p.Cutoff)
+	}
+	if e != meanY || meanY/e != 1 {
+		t.Errorf("never-restart price %v (gain %v), want E[Y] = %v (gain 1)", e, meanY/e, meanY)
+	}
+}
+
+// TestLevyFiniteCutoff: with an infinite mean, any sensible cutoff
+// gives a finite expected runtime — the textbook argument for
+// restarts.
+func TestLevyFiniteCutoff(t *testing.T) {
+	d := must(dist.NewLevy(0, 100))
+	e, err := Expected(d, Policy{Kind: FixedCutoff, Cutoff: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(e, 1) || !(e > 0) {
+		t.Errorf("E[T(1000)] = %v for Lévy", e)
+	}
+}
+
+func TestLubySequence(t *testing.T) {
+	want := []int64{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1}
+	for i, w := range want {
+		if got := lubyTerm(i + 1); got != w {
+			t.Fatalf("lubyTerm(%d) = %d, want %d", i+1, got, w)
 		}
 	}
 }
@@ -163,15 +262,17 @@ func TestLubyWithinUniversalityFactor(t *testing.T) {
 
 // TestOptimalProperties: fitted-optimal never prices above
 // no-restart; on heavy tails it is strictly better with a finite
-// cutoff; on exponential laws memorylessness forces equality with an
+// cutoff that is a true minimum; on exponential laws memorylessness forces equality with an
 // infinite cutoff.
 func TestOptimalProperties(t *testing.T) {
 	heavy := []struct {
-		name string
-		d    dist.Dist
+		name     string
+		d        dist.Dist
+		interior bool // false: the price falls toward c → 0 and the search stops at q(1e-4)
 	}{
-		{"lognormal-heavy", must(dist.NewLogNormal(0, 5, 2))},
-		{"weibull-heavy", must(dist.NewWeibull(0.4, 100))},
+		{"lognormal-heavy", must(dist.NewLogNormal(0, 5, 2)), true},
+		{"lognormal-heavier", must(dist.NewLogNormal(0, 5, 2.5)), true},
+		{"weibull-heavy", must(dist.NewWeibull(0.4, 100)), false},
 	}
 	for _, law := range heavy {
 		p, e, err := Optimal(law.d)
@@ -182,8 +283,23 @@ func TestOptimalProperties(t *testing.T) {
 		if e > mean {
 			t.Errorf("%s: optimum %v worse than no-restart %v", law.name, e, mean)
 		}
-		if math.IsInf(p.Cutoff, 1) || !(e < 0.9*mean) {
-			t.Errorf("%s: expected a strict finite-cutoff win, got cutoff %v price %v (mean %v)", law.name, p.Cutoff, e, mean)
+		if math.IsInf(p.Cutoff, 1) || !(mean/e > 1.5) {
+			t.Errorf("%s: expected a finite-cutoff gain above 1.5, got cutoff %v price %v (mean %v)", law.name, p.Cutoff, e, mean)
+			continue
+		}
+		if !law.interior {
+			continue
+		}
+		// An interior optimum must actually be a minimum: cutoffs a
+		// factor of four either side are no better.
+		for _, factor := range []float64{0.25, 4} {
+			ef, err := Expected(law.d, Policy{Kind: FixedCutoff, Cutoff: p.Cutoff * factor})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ef < e*(1-1e-6) {
+				t.Errorf("%s: cutoff %v×%v prices %v, below the optimum %v", law.name, p.Cutoff, factor, ef, e)
+			}
 		}
 	}
 	exp := must(dist.NewExponential(0.02))

@@ -9,7 +9,7 @@ import (
 	"lasvegas/internal/dist"
 	"lasvegas/internal/fit"
 	"lasvegas/internal/ks"
-	"lasvegas/internal/restart"
+	"lasvegas/internal/policy"
 	"lasvegas/internal/survival"
 )
 
@@ -202,7 +202,7 @@ func (m *Model) Curve(ctx context.Context, cores []int) ([]SpeedupPoint, error) 
 }
 
 // RestartPolicy is the verdict of the optimal fixed-cutoff restart
-// analysis on the fitted law.
+// analysis on the model's law: the fitted-optimal row of Policies.
 type RestartPolicy struct {
 	// Cutoff is the optimal restart budget (+Inf: never restart).
 	Cutoff float64
@@ -214,14 +214,18 @@ type RestartPolicy struct {
 }
 
 // OptimalRestart prices the classic alternative to parallelism — cut
-// runs off and retry — from the same fitted law (Luby–Sinclair–
-// Zuckerman expected-runtime formula).
+// runs off and retry — from the same law (Luby–Sinclair–Zuckerman
+// expected-runtime formula). It is exactly the fitted-optimal row of
+// Policies, without pricing the rest of the panel. On a plug-in law
+// the cutoff is one of the observed runtimes and may be the sample
+// minimum: a single lucky short run makes restarting there look like
+// a win on the sample alone.
 func (m *Model) OptimalRestart() (RestartPolicy, error) {
-	opt, err := restart.OptimalCutoff(m.law)
+	p, e, err := policy.Optimal(m.law)
 	if err != nil {
-		return RestartPolicy{}, err
+		return RestartPolicy{}, fmt.Errorf("lasvegas: %w", err)
 	}
-	return RestartPolicy{Cutoff: opt.Cutoff, ExpectedRuntime: opt.Expected, Gain: opt.Gain}, nil
+	return RestartPolicy{Cutoff: p.Cutoff, ExpectedRuntime: e, Gain: m.law.Mean() / e}, nil
 }
 
 // Candidate is one entry of the ranked model-selection table: a
