@@ -101,11 +101,15 @@ type Solver struct {
 	vc     csp.VariableCost
 	params Params
 
-	sol      []int
-	cost     int
-	tabu     []int64 // iteration until which variable i is frozen
-	tabuUsed int     // number of currently frozen variables
-	errs     []int   // scratch: per-variable projected error
+	sol  []int
+	cost int
+	tabu []int64 // iteration until which variable i is frozen
+	// tabuUsed counts the marks that froze a thawed variable since the
+	// last reset or restart. Expired marks are never subtracted, so a
+	// reset fires after ResetLimit such marks even if some have thawed.
+	tabuUsed int
+	errs     []int // scratch: per-variable projected error
+	swaps    []int // scratch: cost after swapping the culprit with each position
 }
 
 // New creates a solver; params zero-values fall back to
@@ -140,6 +144,7 @@ func New(p csp.Problem, params Params) (*Solver, error) {
 	s.sol = make([]int, n)
 	s.tabu = make([]int64, n)
 	s.errs = make([]int, n)
+	s.swaps = make([]int, n)
 	return s, nil
 }
 
@@ -161,7 +166,7 @@ func (s *Solver) RunContext(ctx context.Context, r *xrand.Rand) Result {
 	best := make([]int, n)
 	bestCost := math.MaxInt
 
-	s.restart(r, &st)
+	s.restart(r)
 	var sinceRestart int64
 	for {
 		if s.cost == 0 {
@@ -180,7 +185,7 @@ func (s *Solver) RunContext(ctx context.Context, r *xrand.Rand) Result {
 			return Result{Solution: best, Cost: bestCost, Stats: st, Err: ErrInterrupted}
 		}
 		if s.params.MaxIterationsPerRestart > 0 && sinceRestart >= s.params.MaxIterationsPerRestart {
-			s.restart(r, &st)
+			s.restart(r)
 			st.Restarts++
 			sinceRestart = 0
 			continue
@@ -220,7 +225,7 @@ func (s *Solver) RunContext(ctx context.Context, r *xrand.Rand) Result {
 // restart draws a fresh uniform permutation and rebuilds state. The
 // shuffle runs in place on s.sol (identical stream consumption to
 // xrand.Perm, without its allocation).
-func (s *Solver) restart(r *xrand.Rand, st *Stats) {
+func (s *Solver) restart(r *xrand.Rand) {
 	for i := range s.sol {
 		s.sol[i] = i
 	}
@@ -230,12 +235,12 @@ func (s *Solver) restart(r *xrand.Rand, st *Stats) {
 		s.tabu[i] = 0
 	}
 	s.tabuUsed = 0
-	_ = st
 }
 
 func (s *Solver) initState() {
 	if s.inc != nil {
-		s.inc.InitState(s.sol)
+		s.cost = s.inc.InitState(s.sol)
+		return
 	}
 	s.cost = s.p.Cost(s.sol)
 }
@@ -245,14 +250,13 @@ func (s *Solver) initState() {
 // are frozen. Variables with zero error are skipped — moving them
 // cannot repair anything.
 func (s *Solver) selectWorstVariable(r *xrand.Rand, iter int64) int {
-	n := s.p.Size()
+	s.projectErrors(iter)
 	worst, count := -1, 0
 	worstErr := 0
-	for i := 0; i < n; i++ {
+	for i, e := range s.errs {
 		if s.tabu[i] > iter {
 			continue
 		}
-		e := s.costOnVariable(i)
 		switch {
 		case e > worstErr:
 			worstErr = e
@@ -268,42 +272,58 @@ func (s *Solver) selectWorstVariable(r *xrand.Rand, iter int64) int {
 	return worst
 }
 
-// costOnVariable projects the error on variable i, preferring the
-// problem's own projection.
-func (s *Solver) costOnVariable(i int) int {
+// projectErrors fills s.errs with the error projected on each variable,
+// preferring the problem's own projection. The probing fallback fills
+// only the non-tabu entries, the ones selectWorstVariable reads.
+func (s *Solver) projectErrors(iter int64) {
 	if s.vc != nil {
-		return s.vc.CostOnVariable(s.sol, i)
+		s.vc.VariableCosts(s.sol, s.errs)
+		return
 	}
 	// Probing fallback: improvement potential of the best swap at i.
-	n := s.p.Size()
-	best := s.cost
-	for j := 0; j < n; j++ {
-		if j == i {
+	for i := range s.errs {
+		if s.tabu[i] > iter {
 			continue
 		}
-		if c := csp.CostIfSwap(s.p, s.sol, s.cost, i, j); c < best {
-			best = c
+		s.swapCosts(i)
+		best := s.cost
+		for k, c := range s.swaps {
+			if k != i && c < best {
+				best = c
+			}
 		}
+		s.errs[i] = s.cost - best
 	}
-	if d := s.cost - best; d > 0 {
-		return d
+}
+
+// swapCosts fills s.swaps with the cost after swapping i with each
+// position (s.cost at i itself).
+func (s *Solver) swapCosts(i int) {
+	if s.inc != nil {
+		s.inc.SwapCosts(s.sol, s.cost, i, s.swaps)
+		return
 	}
-	return 0
+	for k := range s.swaps {
+		if k == i {
+			s.swaps[k] = s.cost
+			continue
+		}
+		s.swaps[k] = csp.CostIfSwap(s.p, s.sol, s.cost, i, k)
+	}
 }
 
 // bestSwap returns the min-conflict partner for variable i: the
 // position j whose swap yields the smallest next cost (ties broken
 // uniformly). j = -1 when n < 2 (cannot happen after New validates).
 func (s *Solver) bestSwap(r *xrand.Rand, i int) (j, cost int) {
-	n := s.p.Size()
+	s.swapCosts(i)
 	j = -1
 	best := math.MaxInt
 	count := 0
-	for k := 0; k < n; k++ {
+	for k, c := range s.swaps {
 		if k == i {
 			continue
 		}
-		c := csp.CostIfSwap(s.p, s.sol, s.cost, i, k)
 		switch {
 		case c < best:
 			best = c

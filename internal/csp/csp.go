@@ -8,6 +8,18 @@
 // problems keep whatever incremental state they need and are notified
 // of executed swaps. Every benchmark of the paper (ALL-INTERVAL,
 // MAGIC-SQUARE, COSTAS ARRAY) is naturally a permutation problem.
+//
+// The solver talks to an incremental problem in batches, one call per
+// decision rather than one per candidate:
+//
+//	cost := InitState(sol)           // each start, restart and reset
+//	loop:
+//	    VariableCosts(sol, errs)     // pick the culprit i
+//	    SwapCosts(sol, cost, i, row) // pick its min-conflict partner j
+//	    ExecutedSwap(sol, i, j)      // after sol[i], sol[j] are exchanged
+//
+// Problems without the incremental layer are driven through Cost alone
+// (swap, recompute, swap back).
 package csp
 
 // Problem is a combinatorial problem whose configurations are
@@ -25,15 +37,20 @@ type Problem interface {
 // Incremental is implemented by problems that maintain internal state
 // allowing swap deltas cheaper than a full Cost recomputation. The
 // solver guarantees the call sequence: InitState(sol) once per
-// (re)start, then any number of CostIfSwap probes against the current
-// sol, and ExecutedSwap immediately after it swaps two positions.
+// (re)start, then any number of CostIfSwap and SwapCosts probes
+// against the current sol, and ExecutedSwap immediately after it swaps
+// two positions.
 type Incremental interface {
 	Problem
-	// InitState (re)builds incremental structures for configuration sol.
-	InitState(sol []int)
+	// InitState (re)builds incremental structures for configuration sol
+	// and returns its cost, equal to Cost(sol).
+	InitState(sol []int) int
 	// CostIfSwap returns the cost sol would have after swapping
 	// positions i and j, given its current cost.
 	CostIfSwap(sol []int, cost, i, j int) int
+	// SwapCosts fills out[k], for every k ≠ i, with CostIfSwap(sol,
+	// cost, i, k), and out[i] with cost. len(out) must be Size().
+	SwapCosts(sol []int, cost, i int, out []int)
 	// ExecutedSwap informs the problem that positions i and j of sol
 	// have just been exchanged (sol already reflects the swap).
 	ExecutedSwap(sol []int, i, j int)
@@ -41,11 +58,15 @@ type Incremental interface {
 
 // VariableCost is implemented by problems that can project the global
 // error onto individual variables (the "worst culprit" heuristic of
-// Adaptive Search, §4.2 of the paper). Problems without it fall back
-// to a probing projection computed from CostIfSwap.
+// Adaptive Search, §4.2 of the paper). It reads the incremental state
+// of the current sol. Problems without it fall back to a probing
+// projection: the best swap improvement available at each variable.
 type VariableCost interface {
 	// CostOnVariable returns the error attributed to position i in sol.
 	CostOnVariable(sol []int, i int) int
+	// VariableCosts fills out[i] with CostOnVariable(sol, i) for every
+	// position i. len(out) must be Size().
+	VariableCosts(sol []int, out []int)
 }
 
 // CostIfSwap probes p, using the incremental path when available and

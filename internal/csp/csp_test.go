@@ -26,13 +26,18 @@ type incToy struct {
 	calls int
 }
 
-func (t *incToy) InitState([]int) {}
+func (t *incToy) InitState(sol []int) int { return t.Cost(sol) }
 func (t *incToy) CostIfSwap(sol []int, cost, i, j int) int {
 	t.calls++
 	sol[i], sol[j] = sol[j], sol[i]
 	c := t.Cost(sol)
 	sol[i], sol[j] = sol[j], sol[i]
 	return c
+}
+func (t *incToy) SwapCosts(sol []int, cost, i int, out []int) {
+	for k := range out {
+		out[k] = t.CostIfSwap(sol, cost, i, k)
+	}
 }
 func (t *incToy) ExecutedSwap([]int, int, int) {}
 

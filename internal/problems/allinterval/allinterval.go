@@ -7,7 +7,8 @@
 // Cost model: for each distance d, every occurrence beyond the first
 // is one error; the total cost is Σ_d max(0, count(d)-1), which is 0
 // exactly on solutions. A swap touches at most four consecutive-pair
-// distances, so CostIfSwap runs in O(1).
+// distances, so CostIfSwap runs in O(1); SwapCosts and VariableCosts
+// fill a whole row in O(N).
 package allinterval
 
 import (
@@ -52,13 +53,18 @@ func (p *Problem) Cost(sol []int) int {
 }
 
 // InitState implements csp.Incremental.
-func (p *Problem) InitState(sol []int) {
+func (p *Problem) InitState(sol []int) int {
 	for d := range p.count {
 		p.count[d] = 0
 	}
 	for i := 0; i+1 < p.n; i++ {
 		p.count[abs(sol[i]-sol[i+1])]++
 	}
+	cost := 0
+	for _, c := range p.count {
+		cost += excess(c)
+	}
+	return cost
 }
 
 // pairsAround returns the consecutive-pair left indices affected by
@@ -121,6 +127,85 @@ func (p *Problem) CostIfSwap(sol []int, cost, i, j int) int {
 	return cost
 }
 
+// SwapCosts implements csp.Incremental. The distances of i's own pairs
+// are taken out of the counts once; every k that shares no pair with i
+// then only moves its own two distances and the four new ones. The
+// neighbours of i share a pair with it and take the general path.
+func (p *Problem) SwapCosts(sol []int, cost, i int, out []int) {
+	n := p.n
+	vi := sol[i]
+	base := cost
+	left, right := -1, -1 // i's pair distances, -1 at the ends
+	if i > 0 {
+		left = abs(sol[i-1] - vi)
+		base += p.bump(left, -1)
+	}
+	if i+1 < n {
+		right = abs(vi - sol[i+1])
+		base += p.bump(right, -1)
+	}
+	for k := 0; k < n; k++ {
+		if k >= i-1 && k <= i+1 {
+			continue
+		}
+		vk := sol[k]
+		c := base
+		var add [4]int // the distances the swap creates
+		a := 0
+		if k > 0 {
+			c += p.bump(abs(sol[k-1]-vk), -1)
+			add[a] = abs(sol[k-1] - vi)
+			a++
+		}
+		if k+1 < n {
+			c += p.bump(abs(vk-sol[k+1]), -1)
+			add[a] = abs(vi - sol[k+1])
+			a++
+		}
+		if left >= 0 {
+			add[a] = abs(sol[i-1] - vk)
+			a++
+		}
+		if right >= 0 {
+			add[a] = abs(vk - sol[i+1])
+			a++
+		}
+		for _, d := range add[:a] {
+			c += p.bump(d, +1)
+		}
+		out[k] = c
+		for _, d := range add[:a] {
+			p.count[d]--
+		}
+		if k > 0 {
+			p.count[abs(sol[k-1]-vk)]++
+		}
+		if k+1 < n {
+			p.count[abs(vk-sol[k+1])]++
+		}
+	}
+	if left >= 0 {
+		p.count[left]++
+	}
+	if right >= 0 {
+		p.count[right]++
+	}
+	out[i] = cost
+	if i > 0 {
+		out[i-1] = p.CostIfSwap(sol, cost, i, i-1)
+	}
+	if i+1 < n {
+		out[i+1] = p.CostIfSwap(sol, cost, i, i+1)
+	}
+}
+
+// bump moves count[d] by delta and returns the resulting cost change.
+func (p *Problem) bump(d, delta int) int {
+	c := p.count[d]
+	p.count[d] = c + delta
+	return excess(c+delta) - excess(c)
+}
+
 // ExecutedSwap implements csp.Incremental; sol already contains the
 // swap, so the pre-swap distances are recovered by re-exchanging i, j.
 func (p *Problem) ExecutedSwap(sol []int, i, j int) {
@@ -158,6 +243,18 @@ func (p *Problem) CostOnVariable(sol []int, i int) int {
 		}
 	}
 	return e
+}
+
+// VariableCosts implements csp.VariableCost: each pair's excess is read
+// once and credited to both of its positions.
+func (p *Problem) VariableCosts(sol []int, out []int) {
+	prev := 0
+	for i := 0; i+1 < p.n; i++ {
+		e := excess(p.count[abs(sol[i]-sol[i+1])])
+		out[i] = prev + e
+		prev = e
+	}
+	out[p.n-1] = prev
 }
 
 // IsSolution reports whether sol is a valid ALL-INTERVAL series.

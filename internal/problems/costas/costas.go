@@ -8,7 +8,8 @@
 // Cost model: Σ_{d,v} max(0, count_d(v)-1) — the number of repeated
 // difference vectors. A swap of columns i and j touches O(N) of the
 // difference triangle, so CostIfSwap runs in O(N) versus O(N²) for a
-// full recomputation.
+// full recomputation; SwapCosts fills a row of N swaps in O(N²) and
+// VariableCosts projects every column in one O(N²) pass.
 package costas
 
 import (
@@ -23,11 +24,7 @@ type Problem struct {
 	n int
 	// count[d-1][v+n-1] = occurrences of difference v at row distance d
 	count [][]int
-	// undo log reused by CostIfSwap probes
-	log []change
 }
-
-type change struct{ d, v int }
 
 // New returns an instance of order n (n ≥ 3).
 func New(n int) (*Problem, error) {
@@ -38,7 +35,7 @@ func New(n int) (*Problem, error) {
 	for d := range cnt {
 		cnt[d] = make([]int, 2*n-1)
 	}
-	return &Problem{n: n, count: cnt, log: make([]change, 0, 8*n)}, nil
+	return &Problem{n: n, count: cnt}, nil
 }
 
 // Size implements csp.Problem.
@@ -69,118 +66,111 @@ func (p *Problem) Cost(sol []int) int {
 }
 
 // InitState implements csp.Incremental.
-func (p *Problem) InitState(sol []int) {
+func (p *Problem) InitState(sol []int) int {
 	n := p.n
+	cost := 0
 	for d := 1; d < n; d++ {
 		row := p.count[d-1]
 		for i := range row {
 			row[i] = 0
 		}
 		for i := 0; i+d < n; i++ {
-			row[sol[i+d]-sol[i]+n-1]++
+			v := sol[i+d] - sol[i] + n - 1
+			row[v]++
+			if row[v] > 1 {
+				cost++
+			}
 		}
-	}
-}
-
-// forEachAffectedPair visits the left endpoints of difference pairs
-// involving column i or column j, once each, for every distance d.
-func (p *Problem) forEachAffectedPair(i, j int, visit func(d, left int)) {
-	n := p.n
-	for d := 1; d < n; d++ {
-		// candidate left endpoints: i-d, i, j-d, j (deduplicated)
-		c0, c1, c2, c3 := i-d, i, j-d, j
-		if c1 > n-1-d {
-			c1 = -1
-		}
-		if c3 > n-1-d {
-			c3 = -1
-		}
-		if c2 == c0 || c2 == c1 {
-			c2 = -1
-		}
-		if c3 == c0 || c3 == c1 || c3 == c2 {
-			c3 = -1
-		}
-		if c0 >= 0 && c0 <= n-1-d {
-			visit(d, c0)
-		}
-		if c1 >= 0 {
-			visit(d, c1)
-		}
-		if c2 >= 0 && c2 <= n-1-d {
-			visit(d, c2)
-		}
-		if c3 >= 0 {
-			visit(d, c3)
-		}
-	}
-}
-
-// CostIfSwap implements csp.Incremental: remove affected differences,
-// add their post-swap values, read the cost delta, roll back.
-func (p *Problem) CostIfSwap(sol []int, cost, i, j int) int {
-	n := p.n
-	val := func(q int) int {
-		switch q {
-		case i:
-			return sol[j]
-		case j:
-			return sol[i]
-		}
-		return sol[q]
-	}
-	p.log = p.log[:0]
-	remove := func(d, v int) {
-		row := p.count[d-1]
-		row[v]--
-		if row[v] >= 1 {
-			cost--
-		}
-		p.log = append(p.log, change{d, v})
-	}
-	p.forEachAffectedPair(i, j, func(d, left int) {
-		remove(d, sol[left+d]-sol[left]+n-1)
-	})
-	mark := len(p.log)
-	add := func(d, v int) {
-		row := p.count[d-1]
-		row[v]++
-		if row[v] > 1 {
-			cost++
-		}
-		p.log = append(p.log, change{d, v})
-	}
-	p.forEachAffectedPair(i, j, func(d, left int) {
-		add(d, val(left+d)-val(left)+n-1)
-	})
-	// Roll back: additions first, then removals.
-	for k := len(p.log) - 1; k >= mark; k-- {
-		p.count[p.log[k].d-1][p.log[k].v]--
-	}
-	for k := mark - 1; k >= 0; k-- {
-		p.count[p.log[k].d-1][p.log[k].v]++
 	}
 	return cost
 }
 
-// ExecutedSwap implements csp.Incremental (sol already swapped).
+// affectedPairs returns the left endpoints of the difference pairs at
+// row distance d that involve column i or column j, once each.
+func (p *Problem) affectedPairs(i, j, d int) (lefts [4]int, m int) {
+	last := p.n - 1 - d // largest left endpoint at distance d
+	for _, c := range [4]int{i - d, i, j - d, j} {
+		if c < 0 || c > last {
+			continue
+		}
+		dup := false
+		for _, have := range lefts[:m] {
+			dup = dup || have == c
+		}
+		if !dup {
+			lefts[m] = c
+			m++
+		}
+	}
+	return lefts, m
+}
+
+// swapped returns the value at column q after exchanging columns i, j.
+func swapped(sol []int, i, j, q int) int {
+	switch q {
+	case i:
+		return sol[j]
+	case j:
+		return sol[i]
+	}
+	return sol[q]
+}
+
+// CostIfSwap implements csp.Incremental: for every row distance,
+// remove the affected differences, add their post-swap values, read
+// the cost delta and roll back.
+func (p *Problem) CostIfSwap(sol []int, cost, i, j int) int {
+	n := p.n
+	for d := 1; d < n; d++ {
+		row := p.count[d-1]
+		lefts, m := p.affectedPairs(i, j, d)
+		var added [4]int
+		for _, l := range lefts[:m] {
+			v := sol[l+d] - sol[l] + n - 1
+			row[v]--
+			if row[v] >= 1 {
+				cost--
+			}
+		}
+		for q, l := range lefts[:m] {
+			v := swapped(sol, i, j, l+d) - swapped(sol, i, j, l) + n - 1
+			row[v]++
+			if row[v] > 1 {
+				cost++
+			}
+			added[q] = v
+		}
+		for q, l := range lefts[:m] {
+			row[added[q]]--
+			row[sol[l+d]-sol[l]+n-1]++
+		}
+	}
+	return cost
+}
+
+// SwapCosts implements csp.Incremental by probing each partner.
+func (p *Problem) SwapCosts(sol []int, cost, i int, out []int) {
+	for k := range out {
+		if k == i {
+			out[k] = cost
+			continue
+		}
+		out[k] = p.CostIfSwap(sol, cost, i, k)
+	}
+}
+
+// ExecutedSwap implements csp.Incremental (sol already swapped, so
+// the pre-swap values are the swapped view of sol).
 func (p *Problem) ExecutedSwap(sol []int, i, j int) {
 	n := p.n
-	old := func(q int) int {
-		switch q {
-		case i:
-			return sol[j]
-		case j:
-			return sol[i]
+	for d := 1; d < n; d++ {
+		row := p.count[d-1]
+		lefts, m := p.affectedPairs(i, j, d)
+		for _, l := range lefts[:m] {
+			row[swapped(sol, i, j, l+d)-swapped(sol, i, j, l)+n-1]--
+			row[sol[l+d]-sol[l]+n-1]++
 		}
-		return sol[q]
 	}
-	p.forEachAffectedPair(i, j, func(d, left int) {
-		p.count[d-1][old(left+d)-old(left)+n-1]--
-	})
-	p.forEachAffectedPair(i, j, func(d, left int) {
-		p.count[d-1][sol[left+d]-sol[left]+n-1]++
-	})
 }
 
 // CostOnVariable implements csp.VariableCost: column i inherits one
@@ -201,6 +191,24 @@ func (p *Problem) CostOnVariable(sol []int, i int) int {
 		}
 	}
 	return e
+}
+
+// VariableCosts implements csp.VariableCost: each difference pair's
+// excess is read once and credited to both of its columns.
+func (p *Problem) VariableCosts(sol []int, out []int) {
+	n := p.n
+	for i := range out {
+		out[i] = 0
+	}
+	for d := 1; d < n; d++ {
+		row := p.count[d-1]
+		for i := 0; i+d < n; i++ {
+			if c := row[sol[i+d]-sol[i]+n-1]; c > 1 {
+				out[i] += c - 1
+				out[i+d] += c - 1
+			}
+		}
+	}
 }
 
 // IsSolution reports whether sol is a Costas array.

@@ -6,7 +6,8 @@
 // A configuration is a permutation of {0..N²-1}; cell p holds value
 // sol[p]+1 at row p/N, column p%N. The cost is the L1 deviation of
 // all 2N+2 line sums from M, and a swap touches at most two rows, two
-// columns and the two diagonals, so CostIfSwap runs in O(1).
+// columns and the two diagonals, so CostIfSwap runs in O(1); SwapCosts
+// and VariableCosts fill a whole row of N² entries in O(N²).
 package magicsquare
 
 import (
@@ -76,7 +77,7 @@ func (p *Problem) Cost(sol []int) int {
 }
 
 // InitState implements csp.Incremental.
-func (p *Problem) InitState(sol []int) {
+func (p *Problem) InitState(sol []int) int {
 	n := p.n
 	for i := 0; i < n; i++ {
 		p.row[i], p.col[i] = 0, 0
@@ -93,6 +94,11 @@ func (p *Problem) InitState(sol []int) {
 			p.anti += v + 1
 		}
 	}
+	cost := abs(p.diag-p.magic) + abs(p.anti-p.magic)
+	for i := 0; i < n; i++ {
+		cost += abs(p.row[i]-p.magic) + abs(p.col[i]-p.magic)
+	}
+	return cost
 }
 
 // lineDelta returns the cost change of one line sum moving by delta.
@@ -138,6 +144,58 @@ func (p *Problem) CostIfSwap(sol []int, cost, i, j int) int {
 	return cost
 }
 
+// SwapCosts implements csp.Incremental. The deviations of the lines
+// through i are read once; each k then adds the deviation changes of
+// the lines it does not share with i, exactly as CostIfSwap does.
+func (p *Problem) SwapCosts(sol []int, cost, i int, out []int) {
+	n, m := p.n, p.magic
+	ri, ci := i/n, i%n
+	vi := sol[i]
+	rowI, colI := p.row[ri]-m, p.col[ci]-m
+	absRowI, absColI := abs(rowI), abs(colI)
+	diag, anti := p.diag-m, p.anti-m
+	absDiag, absAnti := abs(diag), abs(anti)
+	iDiag, iAnti := ri == ci, ri+ci == n-1
+	k := 0
+	for rk := 0; rk < n; rk++ {
+		rowK := p.row[rk] - m
+		absRowK := abs(rowK)
+		for ck := 0; ck < n; ck, k = ck+1, k+1 {
+			di := sol[k] - vi // value change at position i
+			c := cost
+			if rk != ri {
+				c += abs(rowI+di) - absRowI + abs(rowK-di) - absRowK
+			}
+			if ck != ci {
+				colK := p.col[ck] - m
+				c += abs(colI+di) - absColI + abs(colK-di) - abs(colK)
+			}
+			dd := 0
+			if iDiag {
+				dd += di
+			}
+			if rk == ck {
+				dd -= di
+			}
+			if dd != 0 {
+				c += abs(diag+dd) - absDiag
+			}
+			da := 0
+			if iAnti {
+				da += di
+			}
+			if rk+ck == n-1 {
+				da -= di
+			}
+			if da != 0 {
+				c += abs(anti+da) - absAnti
+			}
+			out[k] = c
+		}
+	}
+	out[i] = cost
+}
+
 // ExecutedSwap implements csp.Incremental (sol already swapped).
 func (p *Problem) ExecutedSwap(sol []int, i, j int) {
 	n := p.n
@@ -175,6 +233,26 @@ func (p *Problem) CostOnVariable(sol []int, i int) int {
 		e += abs(p.anti - p.magic)
 	}
 	return e
+}
+
+// VariableCosts implements csp.VariableCost.
+func (p *Problem) VariableCosts(sol []int, out []int) {
+	n, m := p.n, p.magic
+	diag, anti := abs(p.diag-m), abs(p.anti-m)
+	k := 0
+	for r := 0; r < n; r++ {
+		row := abs(p.row[r] - m)
+		for c := 0; c < n; c, k = c+1, k+1 {
+			e := row + abs(p.col[c]-m)
+			if r == c {
+				e += diag
+			}
+			if r+c == n-1 {
+				e += anti
+			}
+			out[k] = e
+		}
+	}
 }
 
 // IsSolution reports whether sol is a valid magic square.

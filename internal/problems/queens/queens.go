@@ -7,7 +7,8 @@
 // whole fit→predict pipeline in milliseconds.
 //
 // Cost model: Σ over both diagonal directions of max(0, count-1); a
-// swap touches at most eight diagonal counters, so CostIfSwap is O(1).
+// swap touches at most eight diagonal counters, so CostIfSwap is O(1)
+// and SwapCosts and VariableCosts fill a whole row in O(N).
 package queens
 
 import (
@@ -59,7 +60,7 @@ func (p *Problem) Cost(sol []int) int {
 }
 
 // InitState implements csp.Incremental.
-func (p *Problem) InitState(sol []int) {
+func (p *Problem) InitState(sol []int) int {
 	for k := range p.main {
 		p.main[k], p.anti[k] = 0, 0
 	}
@@ -67,6 +68,11 @@ func (p *Problem) InitState(sol []int) {
 		p.main[i+r]++
 		p.anti[i-r+p.n-1]++
 	}
+	cost := 0
+	for k := range p.main {
+		cost += excess(p.main[k]) + excess(p.anti[k])
+	}
+	return cost
 }
 
 // CostIfSwap implements csp.Incremental.
@@ -101,6 +107,17 @@ func (p *Problem) CostIfSwap(sol []int, cost, i, j int) int {
 	return cost
 }
 
+// SwapCosts implements csp.Incremental by probing each partner.
+func (p *Problem) SwapCosts(sol []int, cost, i int, out []int) {
+	for k := range out {
+		if k == i {
+			out[k] = cost
+			continue
+		}
+		out[k] = p.CostIfSwap(sol, cost, i, k)
+	}
+}
+
 // ExecutedSwap implements csp.Incremental (sol already swapped).
 func (p *Problem) ExecutedSwap(sol []int, i, j int) {
 	n := p.n
@@ -127,6 +144,14 @@ func (p *Problem) CostOnVariable(sol []int, i int) int {
 		e += c - 1
 	}
 	return e
+}
+
+// VariableCosts implements csp.VariableCost.
+func (p *Problem) VariableCosts(sol []int, out []int) {
+	n := p.n
+	for i, r := range sol {
+		out[i] = excess(p.main[i+r]) + excess(p.anti[i-r+n-1])
+	}
 }
 
 // IsSolution reports whether sol places n non-attacking queens.
