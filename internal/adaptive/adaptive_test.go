@@ -209,3 +209,32 @@ func TestNonIncrementalFallback(t *testing.T) {
 		t.Fatalf("fallback solution has cost %d", c)
 	}
 }
+
+// TestSolveAllocationsBounded checks that a whole solve allocates only
+// while it is set up: resets and restarts rebuild the incremental state
+// in place, so the count must stay under a bound that the run's number
+// of resets exceeds many times over.
+func TestSolveAllocationsBounded(t *testing.T) {
+	const bound = 16
+	var res Result
+	allocs := testing.AllocsPerRun(3, func() {
+		p, err := problems.New(problems.AllInterval, 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(p, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res = s.Run(xrand.New(8))
+	})
+	if !res.Solved {
+		t.Fatal("unsolved")
+	}
+	if res.Stats.Resets < 4*bound {
+		t.Fatalf("only %d resets: the run no longer tells per-reset allocations apart", res.Stats.Resets)
+	}
+	if allocs > bound {
+		t.Errorf("solve made %.0f allocations over %d resets, want ≤ %d", allocs, res.Stats.Resets, bound)
+	}
+}

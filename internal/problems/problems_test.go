@@ -8,8 +8,9 @@ import (
 )
 
 // TestIncrementalMatchesFullCost is the central property test of the
-// problem layer: for every family, CostIfSwap and ExecutedSwap must
-// stay consistent with the from-scratch Cost under random swap
+// problem layer: for every family, InitState, CostIfSwap, SwapCosts,
+// VariableCosts and ExecutedSwap must stay consistent with the
+// from-scratch Cost and the per-cell CostOnVariable under random swap
 // sequences.
 func TestIncrementalMatchesFullCost(t *testing.T) {
 	for _, kind := range Kinds() {
@@ -29,10 +30,13 @@ func TestIncrementalMatchesFullCost(t *testing.T) {
 			}
 			r := xrand.New(2024)
 			sol := r.Perm(p.Size())
-			inc.InitState(sol)
-			cost := p.Cost(sol)
+			cost := inc.InitState(sol)
+			if want := p.Cost(sol); cost != want {
+				t.Fatalf("InitState=%d, full recompute=%d", cost, want)
+			}
 			for step := 0; step < 500; step++ {
 				i, j := r.Intn(len(sol)), r.Intn(len(sol))
+				checkBatchKernels(t, p, sol, cost, i)
 				if i == j {
 					continue
 				}
@@ -51,6 +55,81 @@ func TestIncrementalMatchesFullCost(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkBatchKernels checks the batched kernels at sol, whose
+// incremental state is current and whose cost is cost: the SwapCosts
+// row of culprit i against Cost of every swapped configuration (cost
+// itself at i), and VariableCosts against CostOnVariable per position.
+func checkBatchKernels(t *testing.T, p csp.Problem, sol []int, cost, i int) {
+	t.Helper()
+	inc := p.(csp.Incremental)
+	vc := p.(csp.VariableCost)
+	row := make([]int, len(sol))
+	inc.SwapCosts(sol, cost, i, row)
+	for k, got := range row {
+		sol[i], sol[k] = sol[k], sol[i]
+		want := p.Cost(sol)
+		sol[i], sol[k] = sol[k], sol[i]
+		if got != want {
+			t.Fatalf("%s: SwapCosts(i=%d)[%d]=%d, full recompute=%d (sol %v)", p.Name(), i, k, got, want, sol)
+		}
+	}
+	errs := make([]int, len(sol))
+	vc.VariableCosts(sol, errs)
+	for k, got := range errs {
+		if want := vc.CostOnVariable(sol, k); got != want {
+			t.Fatalf("%s: VariableCosts[%d]=%d, CostOnVariable=%d (sol %v)", p.Name(), k, got, want, sol)
+		}
+	}
+}
+
+// FuzzSwapCosts walks random swap sequences on random instances of
+// every family and checks the batched kernels at every step, as
+// TestIncrementalMatchesFullCost does for one fixed walk per family.
+func FuzzSwapCosts(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint64(1), uint8(20))
+	f.Add(uint8(1), uint8(9), uint64(2), uint8(40))
+	f.Add(uint8(2), uint8(2), uint64(3), uint8(40))
+	f.Add(uint8(3), uint8(30), uint64(4), uint8(60))
+	f.Fuzz(func(t *testing.T, kindIdx, size uint8, seed uint64, steps uint8) {
+		kinds := Kinds()
+		kind := kinds[int(kindIdx)%len(kinds)]
+		// Smallest valid size up to a cap that keeps one input cheap.
+		lo, hi := 3, 40
+		switch kind {
+		case MagicSquare:
+			hi = 7
+		case Costas:
+			hi = 16
+		case Queens:
+			lo = 4
+		}
+		p, err := New(kind, lo+int(size)%(hi-lo+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc := p.(csp.Incremental)
+		r := xrand.New(seed)
+		sol := r.Perm(p.Size())
+		cost := inc.InitState(sol)
+		if want := p.Cost(sol); cost != want {
+			t.Fatalf("%s: InitState=%d, full recompute=%d", p.Name(), cost, want)
+		}
+		for step := 0; step < int(steps)%64; step++ {
+			i, j := r.Intn(len(sol)), r.Intn(len(sol))
+			checkBatchKernels(t, p, sol, cost, i)
+			if i == j {
+				continue
+			}
+			cost = inc.CostIfSwap(sol, cost, i, j)
+			sol[i], sol[j] = sol[j], sol[i]
+			inc.ExecutedSwap(sol, i, j)
+			if want := p.Cost(sol); cost != want {
+				t.Fatalf("%s: step %d: CostIfSwap=%d, full recompute=%d", p.Name(), step, cost, want)
+			}
+		}
+	})
 }
 
 // TestCostOnVariableNonNegative checks the error projection is
