@@ -18,8 +18,9 @@
 //	    SwapCosts(sol, cost, i, row) // pick its min-conflict partner j
 //	    ExecutedSwap(sol, i, j)      // after sol[i], sol[j] are exchanged
 //
-// Problems without the incremental layer are driven through Cost alone
-// (swap, recompute, swap back).
+// Without the incremental layer the solver prices each swap through
+// Cost (swap, recompute, swap back); without VariableCosts it projects
+// a variable's error by probing that variable's swaps.
 package csp
 
 // Problem is a combinatorial problem whose configurations are
@@ -58,9 +59,9 @@ type Incremental interface {
 
 // VariableCost is implemented by problems that can project the global
 // error onto individual variables (the "worst culprit" heuristic of
-// Adaptive Search, §4.2 of the paper). It reads the incremental state
-// of the current sol. Problems without it fall back to a probing
-// projection: the best swap improvement available at each variable.
+// Adaptive Search, §4.2 of the paper). Problems without it fall back
+// to a probing projection: the best swap improvement available at each
+// variable.
 type VariableCost interface {
 	// CostOnVariable returns the error attributed to position i in sol.
 	CostOnVariable(sol []int, i int) int
