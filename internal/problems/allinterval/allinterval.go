@@ -41,22 +41,13 @@ func (p *Problem) Name() string { return fmt.Sprintf("all-interval-%d", p.n) }
 // Cost implements csp.Problem by full recomputation (also used by
 // tests to validate the incremental path).
 func (p *Problem) Cost(sol []int) int {
-	count := make([]int, p.n)
-	for i := 0; i+1 < p.n; i++ {
-		count[abs(sol[i]-sol[i+1])]++
-	}
-	cost := 0
-	for _, c := range count {
-		cost += excess(c)
-	}
-	return cost
+	fresh := Problem{n: p.n, count: make([]int, p.n)}
+	return fresh.InitState(sol)
 }
 
 // InitState implements csp.Incremental.
 func (p *Problem) InitState(sol []int) int {
-	for d := range p.count {
-		p.count[d] = 0
-	}
+	clear(p.count)
 	for i := 0; i+1 < p.n; i++ {
 		p.count[abs(sol[i]-sol[i+1])]++
 	}

@@ -47,22 +47,8 @@ func (p *Problem) Name() string { return fmt.Sprintf("costas-%d", p.n) }
 // Cost implements csp.Problem by recomputing the full difference
 // triangle (O(N²)).
 func (p *Problem) Cost(sol []int) int {
-	n := p.n
-	cost := 0
-	count := make([]int, 2*n-1)
-	for d := 1; d < n; d++ {
-		for i := range count {
-			count[i] = 0
-		}
-		for i := 0; i+d < n; i++ {
-			v := sol[i+d] - sol[i] + n - 1
-			count[v]++
-			if count[v] > 1 {
-				cost++
-			}
-		}
-	}
-	return cost
+	fresh, _ := New(p.n) // cannot fail: p.n passed New when p was built
+	return fresh.InitState(sol)
 }
 
 // InitState implements csp.Incremental.
@@ -71,9 +57,7 @@ func (p *Problem) InitState(sol []int) int {
 	cost := 0
 	for d := 1; d < n; d++ {
 		row := p.count[d-1]
-		for i := range row {
-			row[i] = 0
-		}
+		clear(row)
 		for i := 0; i+d < n; i++ {
 			v := sol[i+d] - sol[i] + n - 1
 			row[v]++

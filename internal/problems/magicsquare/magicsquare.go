@@ -54,34 +54,15 @@ func (p *Problem) Name() string { return fmt.Sprintf("magic-square-%d", p.n) }
 
 // Cost implements csp.Problem by full recomputation.
 func (p *Problem) Cost(sol []int) int {
-	n := p.n
-	row := make([]int, n)
-	col := make([]int, n)
-	diag, anti := 0, 0
-	for pos, v := range sol {
-		r, c := pos/n, pos%n
-		row[r] += v + 1
-		col[c] += v + 1
-		if r == c {
-			diag += v + 1
-		}
-		if r+c == n-1 {
-			anti += v + 1
-		}
-	}
-	cost := abs(diag-p.magic) + abs(anti-p.magic)
-	for i := 0; i < n; i++ {
-		cost += abs(row[i]-p.magic) + abs(col[i]-p.magic)
-	}
-	return cost
+	fresh := Problem{n: p.n, magic: p.magic, row: make([]int, p.n), col: make([]int, p.n)}
+	return fresh.InitState(sol)
 }
 
 // InitState implements csp.Incremental.
 func (p *Problem) InitState(sol []int) int {
 	n := p.n
-	for i := 0; i < n; i++ {
-		p.row[i], p.col[i] = 0, 0
-	}
+	clear(p.row)
+	clear(p.col)
 	p.diag, p.anti = 0, 0
 	for pos, v := range sol {
 		r, c := pos/n, pos%n

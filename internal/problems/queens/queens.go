@@ -45,25 +45,14 @@ func (p *Problem) Name() string { return fmt.Sprintf("queens-%d", p.n) }
 
 // Cost implements csp.Problem by full recomputation.
 func (p *Problem) Cost(sol []int) int {
-	n := p.n
-	main := make([]int, 2*n-1)
-	anti := make([]int, 2*n-1)
-	for i, r := range sol {
-		main[i+r]++
-		anti[i-r+n-1]++
-	}
-	cost := 0
-	for k := range main {
-		cost += excess(main[k]) + excess(anti[k])
-	}
-	return cost
+	fresh := Problem{n: p.n, main: make([]int, 2*p.n-1), anti: make([]int, 2*p.n-1)}
+	return fresh.InitState(sol)
 }
 
 // InitState implements csp.Incremental.
 func (p *Problem) InitState(sol []int) int {
-	for k := range p.main {
-		p.main[k], p.anti[k] = 0, 0
-	}
+	clear(p.main)
+	clear(p.anti)
 	for i, r := range sol {
 		p.main[i+r]++
 		p.anti[i-r+p.n-1]++
