@@ -9,6 +9,8 @@ package lasvegas_test
 import (
 	"bytes"
 	"context"
+	"errors"
+	"math"
 	"testing"
 
 	"lasvegas"
@@ -134,7 +136,7 @@ func BenchmarkAblationIncrementalCost(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res := s.Run(xrand.New(uint64(i))); !res.Solved {
+			if res := s.Run(xrand.New(uint64(i % benchSeeds))); !res.Solved {
 				b.Fatal("unsolved")
 			}
 		}
@@ -293,33 +295,103 @@ func BenchmarkAblationNDJSONIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkPolicyTable measures one cold restart-policy table on the
-// committed 200-run Costas campaign: four closed-form prices, a
-// seeded replay per policy, and a bootstrap CI per policy — the work
-// GET /v1/policy does once per campaign before its bytes cache.
+// BenchmarkPolicyTable measures one cold restart-policy table: four
+// closed-form prices, a seeded replay per policy, and a bootstrap CI
+// per policy — the work GET /v1/policy does once per campaign before
+// its bytes cache. costas13 is the committed 200-run Costas campaign;
+// sketch-200 and sketch-20k are lognormal NDJSON streams read into
+// sketch-backed campaigns, exact below the sketch capacity and
+// compacted above it.
 func BenchmarkPolicyTable(b *testing.B) {
-	c, err := lasvegas.LoadCampaign("testdata/campaign_costas13.json")
+	costas, err := lasvegas.LoadCampaign("testdata/campaign_costas13.json")
 	if err != nil {
 		b.Fatal(err)
 	}
 	pred := lasvegas.New(lasvegas.WithAlpha(0.05), lasvegas.WithCensoredFit(true))
-	best, err := pred.Fit(c)
-	if err != nil {
-		b.Fatal(err)
+	for _, v := range []struct {
+		name string
+		c    *lasvegas.Campaign
+	}{
+		{"costas13", costas},
+		{"sketch-200", lognormalStream(b, 200)},
+		{"sketch-20k", lognormalStream(b, 20_000)},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			best, err := pred.Fit(v.c)
+			if errors.Is(err, lasvegas.ErrNoAcceptableFit) {
+				best, err = pred.PlugIn(v.c)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				table, err := pred.PolicyTable(ctx, v.c, best)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if table.Winner == "" {
+					b.Fatal("empty winner")
+				}
+			}
+		})
 	}
-	ctx := context.Background()
+}
+
+// BenchmarkFitSketch measures FitAll on a 20k-run lognormal NDJSON
+// stream: the default families, their KS and Anderson–Darling
+// verdicts, all on the sketch's 4096-point pseudo-sample — the fit an
+// lvserve replica computes for every streamed campaign.
+func BenchmarkFitSketch(b *testing.B) {
+	c := lognormalStream(b, 20_000)
+	pred := lasvegas.New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		table, err := pred.PolicyTable(ctx, c, best)
+		cands, err := pred.FitAll(c)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if table.Winner == "" {
-			b.Fatal("empty winner")
+		if cands[0].Err != nil {
+			b.Fatal(cands[0].Err)
 		}
 	}
 }
+
+// lognormalStream renders a fixed-seed campaign of integer iteration
+// counts ⌈LogNormal(7, 0.85)⌉ as NDJSON and reads it back through
+// ReadCampaignNDJSON, so it arrives sketch-backed as a streamed
+// campaign does.
+func lognormalStream(b *testing.B, runs int) *lasvegas.Campaign {
+	b.Helper()
+	law, err := dist.NewLogNormal(0, 7, 0.85)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := &lasvegas.Campaign{Problem: "lognormal-stream", Runs: runs, Iterations: dist.SampleN(law, xrand.New(uint64(runs)), runs)}
+	for i, x := range c.Iterations {
+		c.Iterations[i] = math.Ceil(x)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteNDJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	got, err := lasvegas.ReadCampaignNDJSON(&buf, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !got.HasSketch() {
+		b.Fatal("stream did not arrive sketch-backed")
+	}
+	return got
+}
+
+// benchSeeds is how many fixed seeds the solver benchmarks cycle
+// through: solve i uses seed i % benchSeeds, so ns/op averages the
+// same solves whatever b.N is.
+const benchSeeds = 16
 
 // BenchmarkAdaptiveSolve measures one sequential solve per paper
 // benchmark at the scaled default sizes — the unit of work behind
@@ -338,7 +410,7 @@ func BenchmarkAdaptiveSolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res := s.Run(xrand.New(uint64(i))); !res.Solved {
+				if res := s.Run(xrand.New(uint64(i % benchSeeds))); !res.Solved {
 					b.Fatal("unsolved")
 				}
 			}

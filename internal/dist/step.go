@@ -41,7 +41,10 @@ import (
 //     an O(1) draw — the engine behind multiwalk.Simulate at 8192
 //     cores — and a binary search in rank space (cum ≥ p·W) otherwise;
 //   - MinExpectation and TruncatedMean are exact one-pass sums instead
-//     of quadrature or Monte Carlo.
+//     of quadrature or Monte Carlo;
+//   - AtomIndex maps a uniform draw to the atom Quantile returns, in
+//     O(1) expected time on weights too (a Chen–Asau guide table), so
+//     bootstrap and replay draws can be counted per atom.
 //
 // A Step is read-only after construction and safe for concurrent use.
 type Step struct {
@@ -176,13 +179,77 @@ func (s *Step) Quantile(p float64) float64 {
 // integer ranks of a pseudo-sample) never suffer the round-off of a
 // division by W.
 func (s *Step) QuantileRank(r float64) float64 {
-	var i int
 	if s.cum == nil {
-		i = int(math.Ceil(r)) - 1
-	} else {
-		i = sort.SearchFloat64s(s.cum, r)
+		return s.xs[s.clamp(int(math.Ceil(r))-1)]
 	}
-	return s.xs[min(max(i, 0), len(s.xs)-1)]
+	return s.xs[s.clamp(sort.SearchFloat64s(s.cum, r))]
+}
+
+// clamp bounds an atom index to the atoms.
+func (s *Step) clamp(i int) int { return min(max(i, 0), len(s.xs)-1) }
+
+// StepLaw returns the law itself. Estimators that embed a Step
+// inherit it, and the sketch implements it, so consumers that work
+// atom by atom (the counting bootstrap of internal/policy) can reach
+// the atoms behind any step-law source.
+func (s *Step) StepLaw() *Step { return s }
+
+// AtomIndex maps a uniform draw u ∈ (0, 1) — the range of
+// xrand.Float64Open — to the index of the atom Quantile(u) returns,
+// by exactly Quantile's rule: Sorted()[ix.Atom(u)] is bit-identical
+// to Quantile(u). On unit weights the index is QuantileRank's O(1)
+// ceiling. On weights it starts from a Chen–Asau guide table over the
+// rank axis and finishes with a linear scan for the first cumulative
+// mass ≥ u·W. The guide entry of a bucket is the first atom whose own
+// bucket is at least as high; the bucket map r ↦ ⌊r·m/W⌋ is monotone
+// in floating point, so that entry never passes the binary search's
+// answer, and the scan lands on it exactly. Expected cost is O(1) per
+// draw for m buckets over m atoms.
+type AtomIndex struct {
+	s     *Step
+	guide []int32 // guide[k]: first atom i with bucket(cum[i]) ≥ k
+	scale float64 // guide buckets per rank unit
+}
+
+// Index builds the law's atom index. The guide table of a weighted
+// law reuses buf's capacity when it suffices (buf may be nil); the
+// index must not be used after buf is reused.
+func (s *Step) Index(buf []int32) AtomIndex {
+	ix := AtomIndex{s: s}
+	if s.cum == nil {
+		return ix
+	}
+	m := len(s.cum)
+	ix.scale = float64(m) / s.w
+	ix.guide = slices.Grow(buf[:0], m)[:m]
+	i := 0
+	for k := range ix.guide {
+		for i < m && ix.bucket(s.cum[i]) < k {
+			i++
+		}
+		ix.guide[k] = int32(i)
+	}
+	return ix
+}
+
+// bucket returns the guide bucket of rank r.
+func (ix *AtomIndex) bucket(r float64) int {
+	return min(int(r*ix.scale), len(ix.guide)-1)
+}
+
+// Atom returns the index of the atom Quantile(u) returns, for
+// u ∈ (0, 1).
+func (ix *AtomIndex) Atom(u float64) int {
+	s := ix.s
+	r := u * s.w
+	if s.cum == nil {
+		return s.clamp(int(math.Ceil(r)) - 1)
+	}
+	i := int(ix.guide[ix.bucket(r)])
+	for i < len(s.cum) && s.cum[i] < r {
+		i++
+	}
+	return s.clamp(i)
 }
 
 // Mean implements Dist (precomputed).

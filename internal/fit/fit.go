@@ -13,6 +13,12 @@
 // Auto ranks every candidate family by Kolmogorov–Smirnov p-value and
 // returns them ordered, which is exactly the paper's model-selection
 // loop in executable form.
+//
+// The lognormal profile likelihood, evaluated at every step of the
+// shift search, reuses log(x − x0) across a run of equal observations
+// while still adding every term in sample order. Tied samples (integer
+// iteration counts, a sketch's sorted pseudo-sample) thus cost one log
+// per distinct run and give the same bits as one log per observation.
 package fit
 
 import (
@@ -101,27 +107,7 @@ func LogNormal(sample []float64) (dist.LogNormal, error) {
 	if minX <= 0 {
 		return dist.LogNormal{}, fmt.Errorf("%w: non-positive observations", ErrSample)
 	}
-	// Profile negative log-likelihood as a function of the shift.
-	nll := func(x0 float64) float64 {
-		n := float64(len(sample))
-		var sumLog, sumLog2 float64
-		for _, x := range sample {
-			t := x - x0
-			if t <= 0 {
-				return math.Inf(1)
-			}
-			l := math.Log(t)
-			sumLog += l
-			sumLog2 += l * l
-		}
-		mu := sumLog / n
-		s2 := sumLog2/n - mu*mu
-		if s2 <= 0 {
-			return math.Inf(1)
-		}
-		// -ℓ(x0) = n/2·log(s2) + Σ log t  (dropping constants)
-		return n/2*math.Log(s2) + sumLog
-	}
+	nll := func(x0 float64) float64 { return profileNLL(sample, x0) }
 	// The likelihood of the 3-parameter lognormal is unbounded as
 	// x0 → min, so search on [0, min − ε] with ε tied to the spread.
 	eps := math.Max((stats.Max(sample)-minX)*1e-6, minX*1e-9)
@@ -137,6 +123,35 @@ func LogNormal(sample []float64) (dist.LogNormal, error) {
 		x0 = 0 // prefer the simpler unshifted fit when no worse
 	}
 	return LogNormalShift(sample, x0)
+}
+
+// profileNLL is the lognormal profile negative log-likelihood of the
+// sample at shift x0, with (μ, σ) at their closed-form MLE. A run of
+// equal observations reuses one log(x − x0), while the sums still add
+// every term in sample order, so a tied sample (integer iteration
+// counts, a sorted sketch pseudo-sample) costs one log per run and
+// gives the same bits as one log per observation.
+func profileNLL(sample []float64, x0 float64) float64 {
+	n := float64(len(sample))
+	var sumLog, sumLog2, l float64
+	for i, x := range sample {
+		if i == 0 || math.Float64bits(x) != math.Float64bits(sample[i-1]) {
+			t := x - x0
+			if t <= 0 {
+				return math.Inf(1)
+			}
+			l = math.Log(t)
+		}
+		sumLog += l
+		sumLog2 += l * l
+	}
+	mu := sumLog / n
+	s2 := sumLog2/n - mu*mu
+	if s2 <= 0 {
+		return math.Inf(1)
+	}
+	// -ℓ(x0) = n/2·log(s2) + Σ log t  (dropping constants)
+	return n/2*math.Log(s2) + sumLog
 }
 
 // Normal fits a gaussian by moments (= MLE).

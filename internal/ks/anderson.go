@@ -2,7 +2,7 @@ package ks
 
 import (
 	"math"
-	"sort"
+	"sync"
 
 	"lasvegas/internal/dist"
 )
@@ -17,22 +17,47 @@ import (
 // and the p-value uses the case-0 (fully specified distribution)
 // asymptotic approximation of Marsaglia & Marsaglia (2004), accurate
 // to ~1e-3 for n ≥ 8.
+//
+// The CDF and both logs are evaluated once per distinct value of the
+// sorted sample, then the sum runs term by term in the textbook order,
+// so tied samples (integer iteration counts, sketch pseudo-samples)
+// cost one evaluation per atom and give the same bits as evaluating
+// every term.
 func AndersonDarling(sample []float64, d dist.Dist) (Result, error) {
 	n := len(sample)
 	if n == 0 {
 		return Result{}, ErrEmpty
 	}
-	xs := append([]float64(nil), sample...)
-	sort.Float64s(xs)
+	xs := ascending(sample)
+	sp := logScratch.Get().(*[]float64)
+	logs := (*sp)[:0] // per distinct value: ln F, ln(1−F)
+	for i, x := range xs {
+		if i == 0 || !sameBits(x, xs[i-1]) {
+			f := clampUnit(d.CDF(x))
+			logs = append(logs, math.Log(f), math.Log(1-f))
+		}
+	}
 	nf := float64(n)
 	a2 := -nf
+	lo, hi := 0, len(logs)-2 // distinct indices of xs[i] and xs[n-1-i], times 2
 	for i := 0; i < n; i++ {
-		fi := clampUnit(d.CDF(xs[i]))
-		fni := clampUnit(d.CDF(xs[n-1-i]))
-		a2 -= (2*float64(i) + 1) / nf * (math.Log(fi) + math.Log(1-fni))
+		if i > 0 {
+			if !sameBits(xs[i], xs[i-1]) {
+				lo += 2
+			}
+			if !sameBits(xs[n-1-i], xs[n-i]) {
+				hi -= 2
+			}
+		}
+		a2 -= (2*float64(i) + 1) / nf * (logs[lo] + logs[hi+1])
 	}
+	*sp = logs
+	logScratch.Put(sp)
 	return Result{N: n, D: a2, PValue: adPValue(a2)}, nil
 }
+
+// logScratch pools AndersonDarling's per-value log buffers.
+var logScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // clampUnit keeps CDF values strictly inside (0,1) so the logs stay
 // finite; ties at the support edge otherwise produce ±Inf.

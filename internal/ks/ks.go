@@ -4,11 +4,21 @@
 // statistic against any dist.Dist, the asymptotic Kolmogorov p-value
 // with Stephens' finite-n correction, and the two-sample variant used
 // by the test-suite to validate samplers against their own CDFs.
+//
+// Runtime samples are atom-heavy: iteration counts are integers, and a
+// sketch's pseudo-sample repeats each retained value many times. Both
+// one-sample tests therefore evaluate the CDF (and, for
+// Anderson–Darling, its logs) once per distinct value of the sorted
+// sample and then run the per-observation arithmetic unchanged, so a
+// tied sample gives the same bits as evaluating every observation. A
+// sample that is already ascending is read in place, without the
+// sorted copy.
 package ks
 
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"lasvegas/internal/dist"
@@ -29,17 +39,19 @@ type Result struct {
 // paper uses 0.05).
 func (r Result) RejectAt(alpha float64) bool { return r.PValue < alpha }
 
-// OneSample tests sample against the continuous distribution d.
+// OneSample tests sample against the continuous distribution d. The
+// CDF is evaluated once per distinct value of the sorted sample.
 func OneSample(sample []float64, d dist.Dist) (Result, error) {
 	n := len(sample)
 	if n == 0 {
 		return Result{}, ErrEmpty
 	}
-	xs := append([]float64(nil), sample...)
-	sort.Float64s(xs)
-	var dmax float64
+	xs := ascending(sample)
+	var dmax, f float64
 	for i, x := range xs {
-		f := d.CDF(x)
+		if i == 0 || !sameBits(x, xs[i-1]) {
+			f = d.CDF(x)
+		}
 		upper := float64(i+1)/float64(n) - f
 		lower := f - float64(i)/float64(n)
 		if upper > dmax {
@@ -51,6 +63,27 @@ func OneSample(sample []float64, d dist.Dist) (Result, error) {
 	}
 	return Result{N: n, D: dmax, PValue: PValue(dmax, n)}, nil
 }
+
+// ascending returns sample in ascending order: the sample itself when
+// every adjacent pair is strictly ascending or bit-identical (a sketch
+// pseudo-sample, for one), a sorted copy otherwise. Such a sample is
+// the only ascending order of its values, so both branches give the
+// bits sort.Float64s would.
+func ascending(sample []float64) []float64 {
+	for i := 1; i < len(sample); i++ {
+		if !(sample[i-1] < sample[i]) && !sameBits(sample[i-1], sample[i]) {
+			xs := slices.Clone(sample)
+			sort.Float64s(xs)
+			return xs
+		}
+	}
+	return sample
+}
+
+// sameBits reports whether a and b are the same float64 value bit for
+// bit, so that any function of them agrees (unlike ==, it tells -0
+// from +0).
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TwoSample tests whether xs and ys come from the same continuous
 // distribution.

@@ -122,21 +122,45 @@ func (m Min) Mean() float64 {
 }
 
 // lognormalMeanMin returns E[Z(n)] of a shifted lognormal in the
-// normal-score domain. With X = x0 + e^{μ+σW} and W standard normal,
-// the minimum of n draws is x0 + e^{μ+σ·min W}, so
+// normal-score domain (see lognormalMinMoment). Mean uses it only
+// where Moment's quadrature fails, so every value Moment does deliver
+// is unchanged.
+func lognormalMeanMin(d dist.LogNormal, n int) (float64, error) {
+	m1, err := lognormalMinMoment(d, n, 1)
+	return d.Shift + m1, err
+}
+
+// lognormalVarMin returns Var[Z(n)] of a shifted lognormal from the
+// first two normal-score moments; the shift cancels.
+func lognormalVarMin(d dist.LogNormal, n int) (float64, error) {
+	m1, err := lognormalMinMoment(d, n, 1)
+	if err != nil {
+		return math.NaN(), err
+	}
+	m2, err := lognormalMinMoment(d, n, 2)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return m2 - m1*m1, nil
+}
+
+// lognormalMinMoment returns E[(Z(n) − x0)^k] of a shifted lognormal
+// in the normal-score domain. With X = x0 + e^{μ+σW} and W standard
+// normal, the minimum of n draws is x0 + e^{μ+σ·W₍₁₎}, and with
+// s = kσ
 //
-//	E[Z(n)] = x0 + e^{μ+σ²/2}·∫ n·φ(z−σ)·Φ̄(z)^{n−1} dz,
+//	E[(Z(n) − x0)^k] = e^{kμ}·E[e^{s·W₍₁₎}] = e^{kμ+s²/2}·∫ n·φ(z−s)·Φ̄(z)^{n−1} dz,
 //
 // whose integrand is a smooth log-concave bump at any σ, where the
 // quantile-domain integrand of Moment spikes near v → 1 once σ ≳ 4 and
-// its error estimate gives up. Mean uses it only then, so every value
-// Moment does deliver is unchanged. The bump's peak is found on a grid
-// and scaled to 1 before tanh-sinh, so the tolerance stays relative
+// its error estimate gives up. The bump's peak is found on a grid and
+// scaled to 1 before tanh-sinh, so the tolerance stays relative
 // whatever n.
-func lognormalMeanMin(d dist.LogNormal, n int) (float64, error) {
+func lognormalMinMoment(d dist.LogNormal, n, k int) (float64, error) {
 	nf := float64(n)
+	s := float64(k) * d.Sigma
 	logBump := func(z float64) float64 {
-		u := z - d.Sigma
+		u := z - s
 		l := math.Log(nf) - 0.5*u*u - 0.5*math.Log(2*math.Pi)
 		if n > 1 {
 			l += (nf - 1) * logNormalSurvival(z)
@@ -144,7 +168,7 @@ func lognormalMeanMin(d dist.LogNormal, n int) (float64, error) {
 		return l
 	}
 	peakZ, peak := 0.0, math.Inf(-1)
-	for z := -40.0; z <= d.Sigma+10; z += 0.25 {
+	for z := -40.0; z <= s+10; z += 0.25 {
 		if l := logBump(z); l > peak {
 			peakZ, peak = z, l
 		}
@@ -155,7 +179,7 @@ func lognormalMeanMin(d dist.LogNormal, n int) (float64, error) {
 	if err != nil {
 		return math.NaN(), err
 	}
-	return d.Shift + math.Exp(d.Mu+0.5*d.Sigma*d.Sigma+peak)*j, nil
+	return math.Exp(float64(k)*d.Mu+0.5*s*s+peak) * j, nil
 }
 
 // logNormalSurvival returns log Φ̄(z), accurate in both tails.
@@ -167,7 +191,8 @@ func logNormalSurvival(z float64) float64 {
 }
 
 // Var implements dist.Dist, preferring the min-stable closed forms
-// and falling back to the first two quantile-domain moments.
+// and falling back to the first two quantile-domain moments, and for a
+// lognormal law whose quadrature fails, to the normal-score moments.
 func (m Min) Var() float64 {
 	switch b := m.Base.(type) {
 	case dist.ShiftedExponential:
@@ -183,6 +208,11 @@ func (m Min) Var() float64 {
 	e1, err1 := Moment(m.Base, m.N, 1)
 	e2, err2 := Moment(m.Base, m.N, 2)
 	if err1 != nil || err2 != nil {
+		if b, ok := m.Base.(dist.LogNormal); ok {
+			if v, err := lognormalVarMin(b, m.N); err == nil {
+				return v
+			}
+		}
 		return math.NaN()
 	}
 	return e2 - e1*e1

@@ -318,3 +318,50 @@ func TestHeavyLognormalMeanMinEvaluates(t *testing.T) {
 		prev = e
 	}
 }
+
+// TestLognormalVarMinNormalScore checks the normal-score Var[Z(n)] of
+// the lognormal family against the n = 2 closed form
+// e^{2μ}·[2e^{2σ²}·Φ(−√2σ) − 4e^{σ²}·Φ(−σ/√2)²] over light and heavy
+// tails, and against the quantile-domain moments where they converge.
+func TestLognormalVarMinNormalScore(t *testing.T) {
+	for _, sigma := range []float64{0.5, 1, 2, 3, 4, 4.2, 5} {
+		d, _ := dist.NewLogNormal(5, 3.2, sigma)
+		want := math.Exp(2*3.2) * (math.Exp(2*sigma*sigma)*math.Erfc(sigma) -
+			math.Exp(sigma*sigma)*math.Pow(math.Erfc(sigma/2), 2))
+		got, err := lognormalVarMin(d, 2)
+		if err != nil || math.Abs(got-want) > 1e-8*want {
+			t.Errorf("σ=%v: normal-score Var[Z(2)] = %v (%v), closed form %v", sigma, got, err, want)
+		}
+		if v := (Min{Base: d, N: 2}).Var(); math.Abs(v-want) > 1e-7*want {
+			t.Errorf("σ=%v: Min.Var(2) = %v, closed form %v", sigma, v, want)
+		}
+	}
+	d, _ := dist.NewLogNormal(6210, 12.0275, 1.3398)
+	for _, n := range []int{2, 3, 16, 256} {
+		e1, err1 := Moment(d, n, 1)
+		e2, err2 := Moment(d, n, 2)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		want := e2 - e1*e1
+		got, err := lognormalVarMin(d, n)
+		if err != nil || math.Abs(got-want) > 1e-6*want {
+			t.Errorf("n=%d: normal-score %v (%v), quantile domain %v", n, got, err, want)
+		}
+	}
+}
+
+// TestHeavyLognormalVarMinEvaluates pins Min.Var on the heavy-tailed
+// fit whose quantile-domain moments give up at n = 2 and 4: it must be
+// a finite positive number there, and fall with n.
+func TestHeavyLognormalVarMinEvaluates(t *testing.T) {
+	d, _ := dist.NewLogNormal(8.99924, 2.1438, 4.18038)
+	prev := math.Inf(1)
+	for _, n := range []int{2, 4, 8, 64, 256} {
+		v := (Min{Base: d, N: n}).Var()
+		if !(v > 0 && v < prev) {
+			t.Fatalf("Var[Z(%d)] = %v, want in (0, %v)", n, v, prev)
+		}
+		prev = v
+	}
+}

@@ -32,6 +32,12 @@
 // observed runtimes under each schedule with restart truncation, and a
 // resampling bootstrap that prices each resample exactly to yield a CI
 // on the policy's expected runtime.
+//
+// Both checks draw by inverse CDF. On a step law they map each uniform
+// straight to its atom with dist.AtomIndex, which applies Quantile's
+// own rule in O(1) expected time. A bootstrap resample of a step law
+// is counted per atom and expanded in atom order instead of sorted,
+// which yields exactly the sorted draws, bit for bit.
 package policy
 
 import (

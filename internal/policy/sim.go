@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
 
 	"lasvegas/internal/dist"
 	"lasvegas/internal/xrand"
@@ -37,6 +40,11 @@ func Simulate(d dist.Dist, p Policy, reps int, seed uint64) (SimResult, error) {
 	if err := p.validate(); err != nil {
 		return SimResult{}, err
 	}
+	quantile := d.Quantile
+	if sd := newStepDraws(d); sd != nil {
+		defer sd.release()
+		quantile = sd.value
+	}
 	r := xrand.New(seed)
 	var sum, sumsq float64
 	for rep := 0; rep < reps; rep++ {
@@ -44,7 +52,7 @@ func Simulate(d dist.Dist, p Policy, reps int, seed uint64) (SimResult, error) {
 		done := false
 		for i := 1; i <= maxAttempts; i++ {
 			c := p.CutoffAt(i)
-			y := d.Quantile(r.Float64Open())
+			y := quantile(r.Float64Open())
 			if y <= c {
 				t += y
 				done = true
@@ -89,6 +97,12 @@ const maxBootstrapSample = 2048
 // sampling noise in the *price* of a committed schedule, not in the
 // schedule choice. Each resample is priced exactly as a unit-weight
 // dist.Step over the sorted draws, never by quadrature.
+//
+// A resample of a step law (dist.Step, Kaplan–Meier, a sketch) is a
+// multiset of its atoms, so it is counted rather than sorted: each
+// draw maps to its atom by Quantile's own rule (dist.AtomIndex), and
+// the counts expand in atom order into exactly the buffer sorting the
+// drawn quantiles would give, bit for bit. Smooth laws sort.
 func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, seed uint64) (CI, error) {
 	if src == nil {
 		return CI{}, errors.New("policy: nil distribution")
@@ -112,11 +126,19 @@ func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, s
 	prices := make([]float64, resamples)
 	xs := make([]float64, n)
 	var law dist.Step // reused: wraps xs without copying it
+	sd := newStepDraws(src)
+	if sd != nil {
+		defer sd.release()
+	}
 	for b := 0; b < resamples; b++ {
-		for i := range xs {
-			xs[i] = src.Quantile(r.Float64Open())
+		if sd != nil {
+			sd.resample(xs, r)
+		} else {
+			for i := range xs {
+				xs[i] = src.Quantile(r.Float64Open())
+			}
+			sort.Float64s(xs)
 		}
-		sort.Float64s(xs)
 		law = dist.NewStep(xs, nil, nil, xs[0], xs[n-1])
 		v, err := price(&law, p)
 		if err != nil {
@@ -131,4 +153,72 @@ func BootstrapCI(src dist.Dist, n int, p Policy, resamples int, level float64, s
 	alpha := (1 - level) / 2
 	ranked := dist.NewStep(prices, nil, nil, prices[0], prices[resamples-1])
 	return CI{Lo: ranked.Quantile(alpha), Hi: ranked.Quantile(1 - alpha), Level: level}, nil
+}
+
+// stepDraws draws from a step law (dist.Step, Kaplan–Meier, a sketch)
+// atom by atom: one draw through the law's dist.AtomIndex, or a whole
+// sorted resample by counting atoms. Its buffers are pooled, so a
+// replay or bootstrap allocates nothing for them once the pool is
+// warm.
+type stepDraws struct {
+	ix     dist.AtomIndex
+	atoms  []float64
+	counts []int32  // draws per atom; all zero between resamples
+	marks  []uint64 // bit i set: counts[i] > 0
+	guide  []int32  // backing store of ix's guide table
+}
+
+var stepDrawPool = sync.Pool{New: func() any { return new(stepDraws) }}
+
+// newStepDraws takes a stepDraws from the pool and points it at the
+// atoms behind d, or returns nil when d is not a step law.
+func newStepDraws(d dist.Dist) *stepDraws {
+	sl, ok := d.(interface{ StepLaw() *dist.Step })
+	if !ok {
+		return nil
+	}
+	st := sl.StepLaw()
+	if st == nil {
+		return nil
+	}
+	sd := stepDrawPool.Get().(*stepDraws)
+	m := st.Len()
+	sd.guide = slices.Grow(sd.guide[:0], m)[:m]
+	sd.ix = st.Index(sd.guide)
+	sd.atoms = st.Sorted()
+	sd.counts = slices.Grow(sd.counts[:0], m)[:m]
+	sd.marks = slices.Grow(sd.marks[:0], m/64+1)[:m/64+1]
+	return sd
+}
+
+// release returns sd to the pool without keeping its law alive.
+func (sd *stepDraws) release() {
+	sd.ix, sd.atoms = dist.AtomIndex{}, nil
+	stepDrawPool.Put(sd)
+}
+
+// value returns Quantile(u) of the law, for u ∈ (0, 1).
+func (sd *stepDraws) value(u float64) float64 { return sd.atoms[sd.ix.Atom(u)] }
+
+// resample fills dst with len(dst) draws of the law, ascending. The
+// marks make the expansion O(len(dst) + m/64), so a large exact
+// campaign costs no full pass over its atoms per resample.
+func (sd *stepDraws) resample(dst []float64, r *xrand.Rand) {
+	for range dst {
+		i := sd.ix.Atom(r.Float64Open())
+		sd.counts[i]++
+		sd.marks[i>>6] |= 1 << (i & 63)
+	}
+	j := 0
+	for w, word := range sd.marks {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			for k := sd.counts[i]; k > 0; k-- {
+				dst[j] = sd.atoms[i]
+				j++
+			}
+			sd.counts[i] = 0
+		}
+		sd.marks[w] = 0
+	}
 }

@@ -38,6 +38,12 @@
 // rather than accumulate bias). The retained size is at most
 // k·⌈log2(n/k)+1⌉ items regardless of the stream length n.
 //
+// Every promotion is an ascending run, so a level above 0 reaches
+// capacity holding only a leftover and two runs. Compaction merges a
+// level of at most a few ascending runs instead of sorting it, which
+// gives the same bits as the sort, and sorts everything else (level 0
+// holds the stream in arrival order).
+//
 // Queries read the retained items as one dist.Step, each item carrying
 // its weight 2^h. While no compaction has happened (n ≤ k) the sketch
 // is in "exact mode": it is the full sample, every weight is 1, and
@@ -222,7 +228,9 @@ func (s *Sketch) AddAll(xs []float64) error {
 func (s *Sketch) compact(h int) {
 	for ; h < len(s.levels) && len(s.levels[h]) >= s.k; h++ {
 		buf := s.levels[h]
-		sort.Float64s(buf)
+		if !mergeRuns(buf) {
+			sort.Float64s(buf)
+		}
 		var leftover float64
 		hasLeftover := len(buf)%2 == 1
 		if hasLeftover {
@@ -246,6 +254,69 @@ func (s *Sketch) compact(h int) {
 			s.levels[h] = append(s.levels[h], leftover)
 		}
 	}
+}
+
+// maxMergeRuns bounds the ascending runs a compaction merges instead
+// of sorting. A level above 0 only ever receives promotions, and each
+// promotion is an ascending run (every other item of a sorted level),
+// so at capacity it holds a leftover plus two runs; a merged level
+// holds the runs of both parents.
+const maxMergeRuns = 4
+
+// mergeScratch pools the merge buffers, so a stored sketch keeps no
+// scratch memory of its own.
+var mergeScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// mergeRuns sorts buf in place by merging its ascending runs when it
+// has at most maxMergeRuns of them, and reports whether it did; it
+// leaves buf untouched otherwise. The result is bit-identical to
+// sort.Float64s(buf): on finite values a sorted sequence is unique
+// except for the order of -0 and +0, so a level holding both is left
+// to the sort.
+func mergeRuns(buf []float64) bool {
+	var starts [maxMergeRuns + 1]int
+	runs := 1
+	var negZero, posZero bool
+	for i, x := range buf {
+		if x == 0 {
+			if math.Signbit(x) {
+				negZero = true
+			} else {
+				posZero = true
+			}
+		}
+		if i > 0 && x < buf[i-1] {
+			if runs == maxMergeRuns {
+				return false
+			}
+			starts[runs] = i
+			runs++
+		}
+	}
+	if negZero && posZero {
+		return false
+	}
+	if runs == 1 {
+		return true
+	}
+	starts[runs] = len(buf)
+	sp := mergeScratch.Get().(*[]float64)
+	out := slices.Grow((*sp)[:0], len(buf))[:len(buf)]
+	heads := starts
+	for j := range out {
+		best := -1
+		for r := 0; r < runs; r++ {
+			if heads[r] < starts[r+1] && (best < 0 || buf[heads[r]] < buf[heads[best]]) {
+				best = r
+			}
+		}
+		out[j] = buf[heads[best]]
+		heads[best]++
+	}
+	copy(buf, out)
+	*sp = out
+	mergeScratch.Put(sp)
+	return true
 }
 
 // Clone returns an independent copy of the sketch.
@@ -346,6 +417,16 @@ func (s *Sketch) law() *dist.Step {
 		s.st = &st
 	})
 	return s.st
+}
+
+// StepLaw returns the retained items as one weighted step law, or nil
+// while the sketch is empty. The counting bootstrap of internal/policy
+// draws its resamples from these atoms.
+func (s *Sketch) StepLaw() *dist.Step {
+	if s.n == 0 {
+		return nil
+	}
+	return s.law()
 }
 
 // CDF implements dist.Dist: the estimated fraction of observations
