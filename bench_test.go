@@ -389,8 +389,9 @@ func lognormalStream(b *testing.B, runs int) *lasvegas.Campaign {
 }
 
 // benchSeeds is how many fixed seeds the solver benchmarks cycle
-// through: solve i uses seed i % benchSeeds, so ns/op averages the
-// same solves whatever b.N is.
+// through: solve i uses seed i % benchSeeds, so ns/op averages one
+// fixed set of solves (evenly when b.N is a multiple of it) instead of
+// drifting onto new seeds as b.N grows.
 const benchSeeds = 16
 
 // BenchmarkAdaptiveSolve measures one sequential solve per paper

@@ -127,10 +127,8 @@ func LogNormal(sample []float64) (dist.LogNormal, error) {
 
 // profileNLL is the lognormal profile negative log-likelihood of the
 // sample at shift x0, with (μ, σ) at their closed-form MLE. A run of
-// equal observations reuses one log(x − x0), while the sums still add
-// every term in sample order, so a tied sample (integer iteration
-// counts, a sorted sketch pseudo-sample) costs one log per run and
-// gives the same bits as one log per observation.
+// equal observations shares one log(x − x0); see the package
+// documentation.
 func profileNLL(sample []float64, x0 float64) float64 {
 	n := float64(len(sample))
 	var sumLog, sumLog2, l float64
