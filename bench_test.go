@@ -217,31 +217,42 @@ func BenchmarkAblationRealVsSimulatedWalk(b *testing.B) {
 // already holds; it allocates under a third of the bytes. The
 // retained-vals/op column is the point: the sketch holds
 // O(k·log(n/k)) values live however long the stream runs, the
-// empirical all n.
+// empirical all n. sketch-fold-100k-atoms folds ⌈LogNormal(7, 0.85)⌉
+// integer counts instead, the atom-heavy shape of the served streams.
 func BenchmarkSketchIngest(b *testing.B) {
 	const runs = 100_000
 	sample := make([]float64, runs)
 	for i := range sample {
 		sample[i] = float64(1 + (i*7919)%999983)
 	}
-	b.Run("sketch-fold-100k", func(b *testing.B) {
-		b.ReportAllocs()
-		retained := 0
-		for i := 0; i < b.N; i++ {
-			sk, err := lasvegas.NewSketch(0)
-			if err != nil {
-				b.Fatal(err)
+	atoms := make([]float64, runs)
+	r := xrand.New(100)
+	for i := range atoms {
+		atoms[i] = math.Ceil(math.Exp(7 + 0.85*r.Norm()))
+	}
+	for _, v := range []struct {
+		name   string
+		sample []float64
+	}{{"sketch-fold-100k", sample}, {"sketch-fold-100k-atoms", atoms}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			retained := 0
+			for i := 0; i < b.N; i++ {
+				sk, err := lasvegas.NewSketch(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sk.AddAll(v.sample); err != nil {
+					b.Fatal(err)
+				}
+				if sk.Quantile(0.5) <= 0 {
+					b.Fatal("bad quantile")
+				}
+				retained = sk.Retained()
 			}
-			if err := sk.AddAll(sample); err != nil {
-				b.Fatal(err)
-			}
-			if sk.Quantile(0.5) <= 0 {
-				b.Fatal("bad quantile")
-			}
-			retained = sk.Retained()
-		}
-		b.ReportMetric(float64(retained), "retained-vals/op")
-	})
+			b.ReportMetric(float64(retained), "retained-vals/op")
+		})
+	}
 	b.Run("empirical-materialize-100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -293,6 +304,36 @@ func BenchmarkAblationNDJSONIngest(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSketchCodec measures the canonical JSON of a 20k-run
+// sketch-backed campaign: encode is the campaign as the NDJSON reader
+// leaves it (level 0 in arrival order), the bytes an upload stores
+// and replicates; decode reads those bytes back, as a replica does.
+func BenchmarkSketchCodec(b *testing.B) {
+	c := lognormalStream(b, 20_000)
+	data, err := c.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.MarshalJSON(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "bytes/op")
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var got lasvegas.Campaign
+			if err := got.UnmarshalJSON(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPolicyTable measures one cold restart-policy table: four

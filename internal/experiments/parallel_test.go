@@ -57,9 +57,11 @@ func TestRunAllReusableAcrossCalls(t *testing.T) {
 	}
 }
 
-// BenchmarkRunAllSerialVsParallel demonstrates the wall-clock scaling
-// of the parallel artifact pool in paper mode — the acceptance
-// criterion for Lab.RunAll.
+// BenchmarkRunAllSerialVsParallel compares the parallel artifact pool
+// with one worker in paper mode. The pool cannot scale this set: the
+// bootstrap artifact is ~146 of ~155 ms of serial work, so the
+// parallel wall clock is bounded below by that one artifact (on two
+// vCPUs at -count 6, serial 169–192 ms against parallel 168–187 ms).
 func BenchmarkRunAllSerialVsParallel(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		lab := NewLab(Config{Paper: true, SimReps: 3000, Workers: workers})

@@ -23,11 +23,11 @@
 //  2. Byte-stable determinism. t-digest merging depends on centroid
 //     ordering and floating-point averaging, so shard merges are not
 //     reproducible across orderings. Here compaction is fully
-//     deterministic (sort, then keep every other item, the surviving
-//     parity alternating with a per-level counter), every level is a
-//     plain sorted slice, and the canonical JSON depends only on the
-//     retained multiset — replicas that fold the same stream, in any
-//     chunking, serve byte-identical sketches.
+//     deterministic (order the level, then keep every other item, the
+//     surviving parity alternating with a per-level counter), every
+//     level is a plain slice written sorted, and the canonical JSON
+//     depends only on the retained multiset — replicas that fold the
+//     same stream, in any chunking, serve byte-identical sketches.
 //
 // # Structure
 //
@@ -40,12 +40,20 @@
 //
 // Every promotion is an ascending run, so a level above 0 reaches
 // capacity holding only a leftover and two runs. Compaction merges a
-// level of at most a few ascending runs instead of sorting it, which
-// gives the same bits as the sort, and sorts everything else (level 0
-// holds the stream in arrival order).
+// level of at most a few ascending runs, and sorts every other level
+// (level 0 holds the stream in arrival order) by an LSD radix sort on
+// order-preserving integer keys that skips every byte the whole level
+// shares — iteration counts leave most low mantissa bytes zero. On
+// finite values the ascending order is unique except for -0 against
+// +0, so both give the bits of sort.Float64s, which a level holding
+// both signed zeros keeps. Scratch buffers are pooled: a stored
+// sketch holds only its levels.
 //
 // Queries read the retained items as one dist.Step, each item carrying
-// its weight 2^h. While no compaction has happened (n ≤ k) the sketch
+// its weight 2^h. The step law is built once per state by merging the
+// levels, each in sorted order, by (value, level) — the (value,
+// weight) order, since 2^h grows with h — and a Clone shares a law
+// already built. While no compaction has happened (n ≤ k) the sketch
 // is in "exact mode": it is the full sample, every weight is 1, and
 // every query — CDF, Quantile, Mean, Var, MinExpectation,
 // TruncatedMean — runs the same code as dist.NewEmpirical on the same
@@ -73,6 +81,18 @@
 // under reordering: the canonical form depends only on the retained
 // multiset, and a⊕b and b⊕a retain the same one).
 //
+// # Wire form
+//
+// MarshalJSON writes the canonical JSON without reflection, byte for
+// byte as encoding/json would marshal it, writing a level that is
+// already ascending (as every level read back from the wire is) in
+// place. UnmarshalJSON reads that canonical shape directly and hands
+// any other to encoding/json. Both paths validate alike: finite
+// values, the weight invariant, and the support — every retained
+// value inside [min, max], and in exact mode min and max the smallest
+// and largest retained values — so no input decodes to a law whose
+// quantiles fall or whose mean leaves its support.
+//
 // A Sketch is NOT safe for concurrent mutation; concurrent readers
 // are safe once ingestion is done (query caches build through a
 // sync.Once that mutators reset).
@@ -80,13 +100,12 @@ package sketch
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lasvegas/internal/dist"
 	"lasvegas/internal/xrand"
@@ -112,9 +131,17 @@ type Sketch struct {
 	levels      [][]float64 // levels[h] holds items of weight 2^h
 	compactions []uint64    // per-level compaction counts (parity + error bound)
 
-	once *sync.Once // guards st; replaced by invalidate() after mutations
-	st   *dist.Step // query cache: the retained items as a step law
+	once *sync.Once                // guards st; replaced by invalidate() after mutations
+	st   atomic.Pointer[dist.Step] // query cache: the retained items as a step law
 }
+
+// builtOnce is a fired sync.Once: the guard of a sketch whose step
+// law was carried over, already built, by Clone.
+var builtOnce = func() *sync.Once {
+	o := new(sync.Once)
+	o.Do(func() {})
+	return o
+}()
 
 // New returns an empty sketch with compactor capacity k (k ≤ 0 means
 // DefaultK). k must be an even number ≥ 8; sketches merge only with
@@ -205,8 +232,8 @@ func (s *Sketch) Add(x float64) error {
 // unfired Once with no law is still fresh, which keeps a pure
 // ingest loop — millions of Adds, no queries — allocation-free here.
 func (s *Sketch) invalidate() {
-	if s.st != nil {
-		s.st = nil
+	if s.st.Load() != nil {
+		s.st.Store(nil)
 		s.once = new(sync.Once)
 	}
 }
@@ -228,9 +255,7 @@ func (s *Sketch) AddAll(xs []float64) error {
 func (s *Sketch) compact(h int) {
 	for ; h < len(s.levels) && len(s.levels[h]) >= s.k; h++ {
 		buf := s.levels[h]
-		if !mergeRuns(buf) {
-			sort.Float64s(buf)
-		}
+		sortLevel(buf)
 		var leftover float64
 		hasLeftover := len(buf)%2 == 1
 		if hasLeftover {
@@ -256,70 +281,8 @@ func (s *Sketch) compact(h int) {
 	}
 }
 
-// maxMergeRuns bounds the ascending runs a compaction merges instead
-// of sorting. A level above 0 only ever receives promotions, and each
-// promotion is an ascending run (every other item of a sorted level),
-// so at capacity it holds a leftover plus two runs; a merged level
-// holds the runs of both parents.
-const maxMergeRuns = 4
-
-// mergeScratch pools the merge buffers, so a stored sketch keeps no
-// scratch memory of its own.
-var mergeScratch = sync.Pool{New: func() any { return new([]float64) }}
-
-// mergeRuns sorts buf in place by merging its ascending runs when it
-// has at most maxMergeRuns of them, and reports whether it did; it
-// leaves buf untouched otherwise. The result is bit-identical to
-// sort.Float64s(buf): on finite values a sorted sequence is unique
-// except for the order of -0 and +0, so a level holding both is left
-// to the sort.
-func mergeRuns(buf []float64) bool {
-	var starts [maxMergeRuns + 1]int
-	runs := 1
-	var negZero, posZero bool
-	for i, x := range buf {
-		if x == 0 {
-			if math.Signbit(x) {
-				negZero = true
-			} else {
-				posZero = true
-			}
-		}
-		if i > 0 && x < buf[i-1] {
-			if runs == maxMergeRuns {
-				return false
-			}
-			starts[runs] = i
-			runs++
-		}
-	}
-	if negZero && posZero {
-		return false
-	}
-	if runs == 1 {
-		return true
-	}
-	starts[runs] = len(buf)
-	sp := mergeScratch.Get().(*[]float64)
-	out := slices.Grow((*sp)[:0], len(buf))[:len(buf)]
-	heads := starts
-	for j := range out {
-		best := -1
-		for r := 0; r < runs; r++ {
-			if heads[r] < starts[r+1] && (best < 0 || buf[heads[r]] < buf[heads[best]]) {
-				best = r
-			}
-		}
-		out[j] = buf[heads[best]]
-		heads[best]++
-	}
-	copy(buf, out)
-	*sp = out
-	mergeScratch.Put(sp)
-	return true
-}
-
-// Clone returns an independent copy of the sketch.
+// Clone returns an independent copy of the sketch. A step law the
+// sketch has already built is immutable, and the copy shares it.
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{
 		k:           s.k,
@@ -332,6 +295,10 @@ func (s *Sketch) Clone() *Sketch {
 	}
 	for h, lv := range s.levels {
 		c.levels[h] = append([]float64(nil), lv...)
+	}
+	if st := s.st.Load(); st != nil {
+		c.st.Store(st)
+		c.once = builtOnce
 	}
 	return c
 }
@@ -388,35 +355,87 @@ func Merge(a, b *Sketch) (*Sketch, error) {
 // unit-weight step law of dist.NewEmpirical over the same sample: the
 // two run the same code. Safe for concurrent readers.
 func (s *Sketch) law() *dist.Step {
-	once := s.once
-	once.Do(func() {
-		type atom struct{ x, w float64 }
-		atoms := make([]atom, 0, s.Retained())
-		for h, lv := range s.levels {
-			w := float64(uint64(1) << uint(h))
-			for _, x := range lv {
-				atoms = append(atoms, atom{x, w})
-			}
+	s.once.Do(func() {
+		xs, cum := s.mergedAtoms()
+		if xs == nil {
+			xs, cum = s.sortedAtoms()
 		}
-		// Ascending by value, ties by weight: a fully deterministic order.
-		slices.SortFunc(atoms, func(a, b atom) int {
-			return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.w, b.w))
-		})
-		xs := make([]float64, len(atoms))
-		cum := make([]float64, len(atoms))
-		var run float64
-		for i, a := range atoms {
-			xs[i] = a.x
-			run += a.w
-			cum[i] = run
-		}
-		if run == float64(len(atoms)) {
+		if len(xs) == 0 || cum[len(cum)-1] == float64(len(xs)) {
 			cum = nil // unit weights: the exact sample
 		}
 		st := dist.NewStep(xs, cum, nil, s.min, s.max)
-		s.st = &st
+		s.st.Store(&st)
 	})
-	return s.st
+	return s.st.Load()
+}
+
+// mergedAtoms returns the retained items ascending by (value, level),
+// which is ascending by (value, weight), with their cumulative
+// weights: the levels in sort.Float64s order, merged. It returns nil
+// when a level holds -0, whose order against +0 only sortedAtoms
+// fixes.
+func (s *Sketch) mergedAtoms() (xs, cum []float64) {
+	views := make([][]float64, len(s.levels))
+	sp := floatScratch.Get().(*[]float64)
+	defer floatScratch.Put(sp)
+	all := slices.Grow((*sp)[:0], s.Retained())
+	for h, lv := range s.levels {
+		for _, x := range lv {
+			if x == 0 && math.Signbit(x) {
+				return nil, nil
+			}
+		}
+		if ascending(lv) {
+			views[h] = lv
+			continue
+		}
+		all = append(all, lv...)
+		views[h] = all[len(all)-len(lv):]
+		sortLevel(views[h])
+	}
+	*sp = all
+	xs = make([]float64, s.Retained())
+	cum = make([]float64, len(xs))
+	heads := make([]int, len(views))
+	var run float64
+	for j := range xs {
+		best := -1
+		for h, v := range views {
+			if heads[h] < len(v) && (best < 0 || v[heads[h]] < views[best][heads[best]]) {
+				best = h
+			}
+		}
+		xs[j] = views[best][heads[best]]
+		heads[best]++
+		run += float64(uint64(1) << uint(best))
+		cum[j] = run
+	}
+	return xs, cum
+}
+
+// sortedAtoms returns the retained items ascending by (value, weight),
+// with their cumulative weights, by sorting them all at once.
+func (s *Sketch) sortedAtoms() (xs, cum []float64) {
+	type atom struct{ x, w float64 }
+	atoms := make([]atom, 0, s.Retained())
+	for h, lv := range s.levels {
+		w := float64(uint64(1) << uint(h))
+		for _, x := range lv {
+			atoms = append(atoms, atom{x, w})
+		}
+	}
+	slices.SortFunc(atoms, func(a, b atom) int {
+		return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.w, b.w))
+	})
+	xs = make([]float64, len(atoms))
+	cum = make([]float64, len(atoms))
+	var run float64
+	for i, a := range atoms {
+		xs[i] = a.x
+		run += a.w
+		cum[i] = run
+	}
+	return xs, cum
 }
 
 // StepLaw returns the retained items as one weighted step law, or nil
@@ -554,93 +573,4 @@ func (s *Sketch) MinSample(n int, r *xrand.Rand) float64 {
 		return math.NaN()
 	}
 	return s.law().MinSample(n, r)
-}
-
-// sketchJSON is the canonical wire form: levels are sorted copies, so
-// the bytes depend only on the retained multiset (plus the compaction
-// counters that fix future parity), never on insertion order within a
-// level. nil levels marshal as [], keeping the form canonical.
-type sketchJSON struct {
-	V           int         `json:"v"`
-	K           int         `json:"k"`
-	N           uint64      `json:"n"`
-	Min         *float64    `json:"min,omitempty"`
-	Max         *float64    `json:"max,omitempty"`
-	Levels      [][]float64 `json:"levels"`
-	Compactions []uint64    `json:"compactions"`
-}
-
-// MarshalJSON implements json.Marshaler with a canonical,
-// multiset-determined byte form (see sketchJSON).
-func (s *Sketch) MarshalJSON() ([]byte, error) {
-	j := sketchJSON{
-		V:           SchemaVersion,
-		K:           s.k,
-		N:           s.n,
-		Levels:      make([][]float64, len(s.levels)),
-		Compactions: append([]uint64{}, s.compactions...),
-	}
-	if s.n > 0 {
-		mn, mx := s.min, s.max
-		j.Min, j.Max = &mn, &mx
-	}
-	for h, lv := range s.levels {
-		sorted := append([]float64{}, lv...)
-		sort.Float64s(sorted)
-		j.Levels[h] = sorted
-	}
-	return json.Marshal(j)
-}
-
-// UnmarshalJSON implements json.Unmarshaler, validating the schema
-// version, the capacity, finiteness of every retained value and the
-// weight invariant Σ_h |level_h|·2^h == n.
-func (s *Sketch) UnmarshalJSON(data []byte) error {
-	var j sketchJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if j.V > SchemaVersion {
-		return fmt.Errorf("%w: sketch schema %d, this release reads ≤ %d", ErrSketch, j.V, SchemaVersion)
-	}
-	base, err := New(j.K)
-	if err != nil {
-		return err
-	}
-	if len(j.Levels) == 0 || len(j.Compactions) != len(j.Levels) {
-		return fmt.Errorf("%w: %d levels with %d compaction counters", ErrSketch, len(j.Levels), len(j.Compactions))
-	}
-	if len(j.Levels) > 64 {
-		return fmt.Errorf("%w: %d levels", ErrSketch, len(j.Levels))
-	}
-	var weight uint64
-	for h, lv := range j.Levels {
-		if len(lv) >= j.K {
-			return fmt.Errorf("%w: level %d holds %d ≥ k=%d items", ErrSketch, h, len(lv), j.K)
-		}
-		for _, x := range lv {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return fmt.Errorf("%w: non-finite retained value %v", ErrSketch, x)
-			}
-		}
-		weight += uint64(len(lv)) << uint(h)
-	}
-	if weight != j.N {
-		return fmt.Errorf("%w: retained weight %d does not cover n=%d", ErrSketch, weight, j.N)
-	}
-	base.n = j.N
-	base.levels = make([][]float64, len(j.Levels))
-	for h, lv := range j.Levels {
-		base.levels[h] = append([]float64(nil), lv...)
-	}
-	base.compactions = append([]uint64(nil), j.Compactions...)
-	if j.N > 0 {
-		if j.Min == nil || j.Max == nil || *j.Min > *j.Max ||
-			math.IsNaN(*j.Min) || math.IsInf(*j.Min, 0) || math.IsNaN(*j.Max) || math.IsInf(*j.Max, 0) {
-			return fmt.Errorf("%w: bad support", ErrSketch)
-		}
-		base.min, base.max = *j.Min, *j.Max
-	}
-	*s = *base
-	return nil
 }

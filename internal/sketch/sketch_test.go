@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -395,12 +396,31 @@ func TestUnmarshalRejectsCorruptState(t *testing.T) {
 		"missing levels": `{"v":1,"k":64,"n":0,"levels":[],"compactions":[]}`,
 		"overfull level": `{"v":1,"k":8,"n":8,"min":1,"max":8,"levels":[[1,2,3,4,5,6,7,8]],"compactions":[0]}`,
 		"bad support":    `{"v":1,"k":64,"n":1,"levels":[[1]],"compactions":[0]}`,
+		"below min":      `{"v":1,"k":8,"n":2,"min":5,"max":6,"levels":[[1,2]],"compactions":[0]}`,
+		"above max":      `{"v":1,"k":8,"n":3,"min":1,"max":6,"levels":[[1],[7]],"compactions":[1,0]}`,
+		"exact min":      `{"v":1,"k":8,"n":2,"min":0,"max":6,"levels":[[1,6]],"compactions":[0]}`,
+		"exact max":      `{"v":1,"k":8,"n":2,"min":1,"max":9,"levels":[[1,6]],"compactions":[0,0]}`,
+		"spaced support": `{"v":1, "k":8,"n":2,"min":5,"max":6,"levels":[[1,2]],"compactions":[0]}`,
 	}
 	for name, raw := range cases {
 		var s Sketch
 		if err := json.Unmarshal([]byte(raw), &s); err == nil {
 			t.Errorf("%s: accepted %s", name, raw)
 		}
+	}
+	// The canonical reader and encoding/json reject a value below the
+	// support alike, as invalid sketch state.
+	for _, raw := range []string{cases["below min"], cases["spaced support"]} {
+		var s Sketch
+		if err := s.UnmarshalJSON([]byte(raw)); !errors.Is(err, ErrSketch) {
+			t.Errorf("%s: got %v, want ErrSketch", raw, err)
+		}
+	}
+	// A compacted sketch's extremes may have been dropped from the
+	// levels: a support wider than the retained values stands.
+	var s Sketch
+	if err := json.Unmarshal([]byte(`{"v":1,"k":8,"n":3,"min":0,"max":9,"levels":[[1],[7]],"compactions":[1,0]}`), &s); err != nil {
+		t.Errorf("compacted sketch with a wider support rejected: %v", err)
 	}
 }
 

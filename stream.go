@@ -101,8 +101,10 @@ func (c *Campaign) WriteNDJSON(w io.Writer) error {
 // by line: a line holding exactly one of the two record shapes
 // WriteNDJSON emits — {"iterations":N} or {"iterations":N,"seconds":S},
 // JSON numbers, surrounding whitespace allowed — is parsed without
-// reflection (strconv.ParseFloat, the conversion encoding/json uses)
-// and blank lines are skipped. The first line of any other shape —
+// reflection and blank lines are skipped. An iteration count of 1–15
+// plain digits is read as an integer, which float64 holds exactly;
+// any other number goes through strconv.ParseFloat, the conversion
+// encoding/json uses, so the two give the same bits. The first line of any other shape —
 // other key order, extra keys or inner whitespace, several values on
 // one line, a value spanning lines, an out-of-range number, a line
 // longer than the buffer — hands itself and the rest of the stream to
@@ -229,15 +231,27 @@ func (f *recordFolder) decode(dec *json.Decoder) error {
 // WriteNDJSON writes it, {"iterations":N} or
 // {"iterations":N,"seconds":S}, with optional surrounding whitespace.
 // It reports false for any other line, and for a number ParseFloat
-// rejects, leaving those to the decoder.
+// rejects, leaving those to the decoder. ParseFloat fails on a JSON
+// number only out of range, so seconds with no exponent and at most
+// 15 integer digits skip it.
 func canonicalRecord(line []byte) (float64, bool) {
 	b, ok := bytes.CutPrefix(trimSpace(line), []byte(`{"iterations":`))
 	if !ok {
 		return 0, false
 	}
-	n := numberLen(b)
-	if n == 0 {
-		return 0, false
+	// A count of 1–15 plain digits is read as an integer in one scan.
+	var u uint64
+	n := 0
+	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+		u = u*10 + uint64(b[n]-'0')
+		n++
+	}
+	exact := n > 0 && n <= maxExactDigits && (b[0] != '0' || n == 1) &&
+		(n == len(b) || (b[n] != '.' && b[n] != 'e' && b[n] != 'E'))
+	if !exact {
+		if n = numberLen(b); n == 0 {
+			return 0, false
+		}
 	}
 	it, b := b[:n], b[n:]
 	if s, ok := bytes.CutPrefix(b, []byte(`,"seconds":`)); ok {
@@ -245,17 +259,28 @@ func canonicalRecord(line []byte) (float64, bool) {
 		if m == 0 {
 			return 0, false
 		}
-		if _, err := strconv.ParseFloat(string(s[:m]), 64); err != nil {
-			return 0, false
+		sec, _ := bytes.CutPrefix(s[:m], []byte("-"))
+		if bytes.IndexAny(sec, "eE") >= 0 || digitsEnd(sec, 0) > maxExactDigits {
+			if _, err := strconv.ParseFloat(string(sec), 64); err != nil {
+				return 0, false
+			}
 		}
 		b = s[m:]
 	}
 	if string(b) != "}" {
 		return 0, false
 	}
+	if exact {
+		return float64(u), true
+	}
 	x, err := strconv.ParseFloat(string(it), 64)
 	return x, err == nil
 }
+
+// maxExactDigits bounds the plain-digit iteration counts read as
+// integers: below 10^15 < 2^53 every integer is a float64, so
+// float64(u) has the bits strconv.ParseFloat returns.
+const maxExactDigits = 15
 
 // numberLen returns the length of the JSON number that starts b,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 when b does

@@ -57,6 +57,12 @@ func FuzzReadCampaignNDJSON(f *testing.F) {
 		f.Add([]byte(hdr + `{"iterations":` + num + `}` + "\n" + `{"iterations":7}` + "\n"))
 		f.Add([]byte(hdr + `{"iterations":7,"seconds":` + num + `}` + "\n"))
 	}
+	// Counts at the edges of the integer reader: 15 and 16 digits, a
+	// 17-digit count float64 rounds, zero in both signs, and integral
+	// values it must leave to ParseFloat.
+	for _, num := range []string{"999999999999999", "1000000000000000", "9007199254740993", "0", "-0", "1e3", "1.0", "000"} {
+		f.Add([]byte(hdr + `{"iterations":` + num + `}` + "\n" + `{"iterations":` + num + `,"seconds":` + num + `}` + "\n"))
+	}
 	// A line longer than the reader's buffer, then a canonical line.
 	f.Add([]byte(hdr + `{"iterations":` + strings.Repeat(" ", 5<<10) + "9}\n" + `{"iterations":7}` + "\n"))
 
