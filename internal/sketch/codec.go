@@ -29,6 +29,8 @@ type sketchJSON struct {
 // already ascending is written in place; any other is sorted in a
 // pooled copy.
 func (s *Sketch) MarshalJSON() ([]byte, error) {
+	// Room for the header fields and ~8 bytes a value: an iteration
+	// count and its comma.
 	b := make([]byte, 0, 96+9*s.Retained())
 	b = append(b, `{"v":`...)
 	b = strconv.AppendInt(b, SchemaVersion, 10)

@@ -104,13 +104,13 @@ func (c *Campaign) WriteNDJSON(w io.Writer) error {
 // reflection and blank lines are skipped. An iteration count of 1–15
 // plain digits is read as an integer, which float64 holds exactly;
 // any other number goes through strconv.ParseFloat, the conversion
-// encoding/json uses, so the two give the same bits. The first line of any other shape —
-// other key order, extra keys or inner whitespace, several values on
-// one line, a value spanning lines, an out-of-range number, a line
-// longer than the buffer — hands itself and the rest of the stream to
-// an encoding/json decoder, value by value. Either way a stream is
-// accepted or rejected, and folded into the same sketch, exactly as by
-// the decoder alone.
+// encoding/json uses, so the two give the same bits. The first line
+// of any other shape — other key order, extra keys or inner
+// whitespace, several values on one line, a value spanning lines, an
+// out-of-range number, a line longer than the buffer — hands itself
+// and the rest of the stream to an encoding/json decoder, value by
+// value. Either way a stream is accepted or rejected, and folded into
+// the same sketch, exactly as by the decoder alone.
 //
 // Malformed streams fail with ErrStream: a missing or
 // newer-than-supported header, a record without finite iterations, or
