@@ -269,28 +269,38 @@ func BenchmarkSketchIngest(b *testing.B) {
 }
 
 // BenchmarkAblationNDJSONIngest reads one 20k-record NDJSON campaign
-// stream into a sketch-backed campaign two ways. canonical is the
-// stream as WriteNDJSON writes it, so every record takes
-// ReadCampaignNDJSON's reflection-free line parser; decoder writes
-// each record as {"iterations": N}, a shape off that fast path, so
-// every record goes through encoding/json as the reader did before
-// the fast path existed.
+// stream into a sketch-backed campaign. canonical is the stream as
+// WriteNDJSON writes it, so every record takes ReadCampaignNDJSON's
+// reflection-free line parser; decoder writes each record as
+// {"iterations": N}, a shape off that fast path, so every record goes
+// through encoding/json as the reader did before the fast path
+// existed. The ablation ratio is decoder over canonical.
+// canonical-seconds is canonical with per-run seconds, as WriteNDJSON
+// writes a campaign that has them: the fast path checks each seconds
+// number against the JSON grammar without converting it.
 func BenchmarkAblationNDJSONIngest(b *testing.B) {
 	const runs = 20_000
 	c := &lasvegas.Campaign{Problem: "ndjson-bench", Runs: runs, Iterations: make([]float64, runs)}
 	for i := range c.Iterations {
 		c.Iterations[i] = float64(1 + (i*7919)%999983)
 	}
-	var buf bytes.Buffer
-	if err := c.WriteNDJSON(&buf); err != nil {
-		b.Fatal(err)
+	stream := func(c *lasvegas.Campaign) []byte {
+		var buf bytes.Buffer
+		if err := c.WriteNDJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	canonical := buf.Bytes()
+	canonical := stream(c)
 	spaced := bytes.ReplaceAll(canonical, []byte(`{"iterations":`), []byte(`{"iterations": `))
+	c.Seconds = make([]float64, runs)
+	for i, x := range c.Iterations {
+		c.Seconds[i] = x * 1.37e-6
+	}
 	for _, v := range []struct {
 		name   string
 		stream []byte
-	}{{"canonical", canonical}, {"decoder", spaced}} {
+	}{{"canonical", canonical}, {"decoder", spaced}, {"canonical-seconds", stream(c)}} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -405,7 +415,7 @@ func BenchmarkFitSketch(b *testing.B) {
 // counts ⌈LogNormal(7, 0.85)⌉ as NDJSON and reads it back through
 // ReadCampaignNDJSON, so it arrives sketch-backed as a streamed
 // campaign does.
-func lognormalStream(b *testing.B, runs int) *lasvegas.Campaign {
+func lognormalStream(b testing.TB, runs int) *lasvegas.Campaign {
 	b.Helper()
 	law, err := dist.NewLogNormal(0, 7, 0.85)
 	if err != nil {

@@ -1,6 +1,7 @@
 package lasvegas
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -88,6 +89,10 @@ type campaignJSON struct {
 // Value receiver so that both Campaign and *Campaign serialize
 // identically (a pointer-only marshaler would silently emit untagged
 // fields for non-addressable values).
+//
+// The sketch, the last field, is spliced in as Sketch.MarshalJSON
+// writes it: those bytes are compact and hold only numbers, so they
+// are what encoding/json would have written after re-validating them.
 func (c Campaign) MarshalJSON() ([]byte, error) {
 	schema := campaignSchemaRaw
 	if c.Sketch != nil {
@@ -100,7 +105,7 @@ func (c Campaign) MarshalJSON() ([]byte, error) {
 		// whether their empty slice is nil or allocated.
 		iterations = nil
 	}
-	return json.Marshal(campaignJSON{
+	data, err := json.Marshal(campaignJSON{
 		Schema:     schema,
 		Problem:    c.Problem,
 		Size:       c.Size,
@@ -111,17 +116,35 @@ func (c Campaign) MarshalJSON() ([]byte, error) {
 		Seconds:    c.Seconds,
 		Censored:   c.Censored,
 		Metadata:   c.Metadata,
-		Sketch:     c.Sketch,
 	})
+	if err != nil || c.Sketch == nil {
+		return data, err
+	}
+	sk, err := c.Sketch.MarshalJSON()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(data)+len(sketchKey)+len(sk))
+	out = append(out, data[:len(data)-1]...)
+	out = append(out, sketchKey...)
+	out = append(out, sk...)
+	return append(out, '}'), nil
 }
+
+// sketchKey introduces the sketch, the last field of the canonical
+// campaign JSON.
+const sketchKey = `,"sketch":`
 
 // UnmarshalJSON implements json.Unmarshaler. A missing schema field
 // denotes version 1 (legacy lvseq files); versions newer than
 // CampaignSchemaVersion fail with ErrSchema.
 func (c *Campaign) UnmarshalJSON(data []byte) error {
 	var j campaignJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
+	if !splitSketch(data, &j) {
+		j = campaignJSON{}
+		if err := json.Unmarshal(data, &j); err != nil {
+			return err
+		}
 	}
 	if j.Schema > CampaignSchemaVersion {
 		return fmt.Errorf("%w: file has schema %d, this release reads ≤ %d",
@@ -140,6 +163,35 @@ func (c *Campaign) UnmarshalJSON(data []byte) error {
 		Sketch:     j.Sketch,
 	}
 	return c.validate()
+}
+
+// splitSketch decodes the shape MarshalJSON writes for a sketch-backed
+// campaign, an object whose last member is the sketch, with the
+// sketch's own decoder, so its values are scanned once rather than
+// validated first and decoded after. The split is at the first
+// `,"sketch":{`, which in that shape can only be the sketch member:
+// metadata values are strings. It reports false, having maybe filled
+// j partly, on any data whose object without the sketch member does
+// not decode, whose sketch does not decode, or whose other members
+// already set the sketch (a duplicate key); such data takes the
+// encoding/json path, which then gives the same result or error it
+// always did.
+func splitSketch(data []byte, j *campaignJSON) bool {
+	i := bytes.Index(data, []byte(sketchKey+"{"))
+	if i < 0 || data[len(data)-1] != '}' {
+		return false
+	}
+	head := bytes.TrimRight(data[:i], " \t\r\n")
+	sk := data[i+len(sketchKey) : len(data)-1]
+	if len(head) == 0 || head[len(head)-1] == '{' {
+		return false
+	}
+	// The head is closed in a copy, leaving data as it was.
+	if json.Unmarshal(append(head[:len(head):len(head)], '}'), j) != nil || j.Sketch != nil {
+		return false
+	}
+	j.Sketch = new(Sketch)
+	return j.Sketch.UnmarshalJSON(sk) == nil
 }
 
 func (c *Campaign) validate() error {

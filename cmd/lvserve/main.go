@@ -128,7 +128,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		familiesS = flag.String("families", "", "comma-separated candidate families (default: the paper's accepted trio)")
 		alpha     = flag.Float64("alpha", 0.05, "KS significance level")
-		workers   = flag.Int("workers", 0, "max concurrent fit/collect jobs (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "max concurrent fit/policy/collect jobs, and goroutines per job (0 = GOMAXPROCS)")
 		maxBody   = flag.Int64("max-body", 8<<20, "buffered request body cap in bytes (NDJSON streams are capped by -max-stream-bytes instead)")
 		maxStream = flag.Int64("max-stream-bytes", 0, "NDJSON campaign-stream cap in bytes (0 = 1 GiB; bounds wire volume only — streams are never buffered)")
 		sketchK   = flag.Int("sketch-k", 0, "quantile-sketch capacity for streamed campaigns (0 = the lasvegas default; rank error ≈ log2(n/k)/k)")

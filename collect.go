@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"lasvegas/internal/adaptive"
 	"lasvegas/internal/csp"
+	"lasvegas/internal/fanout"
 	"lasvegas/internal/problems"
 	"lasvegas/internal/runtimes"
 	"lasvegas/internal/sat"
@@ -165,8 +164,8 @@ type runOutcome struct {
 // from the root seed at the run's global index (the same derivation
 // as the internal collector, so neither scheduling nor sharding ever
 // changes results). With a WithShard restriction only the shard's
-// block of the full campaign is executed. It fails fast on the first
-// run error or context cancellation.
+// block of the full campaign is executed. It fails fast on a run
+// error or context cancellation, reporting the lowest failed run.
 func (p *Predictor) collectRuns(ctx context.Context, name string, size int,
 	runOne func(context.Context, *xrand.Rand) (runOutcome, error)) (*Campaign, error) {
 	total := p.cfg.runs
@@ -178,13 +177,6 @@ func (p *Predictor) collectRuns(ctx context.Context, name string, size int,
 	if runs < 1 {
 		return nil, fmt.Errorf("shard %d/%d of %d runs is empty",
 			p.cfg.shardIndex, p.cfg.shardTotal, total)
-	}
-	workers := p.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > runs {
-		workers = runs
 	}
 	c := &Campaign{
 		Problem:    name,
@@ -208,53 +200,19 @@ func (p *Predictor) collectRuns(ctx context.Context, name string, size int,
 	}
 	censored := make([]bool, runs)
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || next >= runs {
-			return -1
+	err := fanout.Run(p.cfg.workers, runs, func(i int) error {
+		start := time.Now()
+		out, err := runOne(ctx, streams[i])
+		if err != nil {
+			return fmt.Errorf("run %d: %w", i, err)
 		}
-		i := next
-		next++
-		return i
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				start := time.Now()
-				out, err := runOne(ctx, streams[i])
-				if err != nil {
-					fail(fmt.Errorf("run %d: %w", i, err))
-					return
-				}
-				c.Iterations[i] = out.iterations
-				c.Seconds[i] = time.Since(start).Seconds()
-				censored[i] = out.censored
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		c.Iterations[i] = out.iterations
+		c.Seconds[i] = time.Since(start).Seconds()
+		censored[i] = out.censored
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, cens := range censored {
 		if cens {

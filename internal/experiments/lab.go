@@ -3,12 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
 	"lasvegas"
+	"lasvegas/internal/fanout"
 	"lasvegas/internal/paperdata"
 	"lasvegas/internal/problems"
 )
@@ -31,9 +31,9 @@ type Config struct {
 	// Seed makes the whole harness deterministic (default 1).
 	Seed uint64
 	// Workers bounds each worker pool of the harness independently:
-	// the goroutines of one live campaign and the number of artifacts
-	// RunAll regenerates concurrently (default GOMAXPROCS; 1 forces
-	// fully serial execution). In live mode the two levels nest, so up
+	// the goroutines of one live campaign or fit and the number of
+	// artifacts RunAll regenerates concurrently (default GOMAXPROCS; 1
+	// forces fully serial execution). The two levels nest, so up
 	// to Workers² goroutines can be runnable at once; GOMAXPROCS still
 	// caps the threads actually running, the nesting only adds
 	// scheduler pressure.
@@ -254,44 +254,13 @@ func (l *Lab) Run(ctx context.Context, id string) (*Artifact, error) {
 // paper order.
 func (l *Lab) RunAll(ctx context.Context) ([]*Artifact, error) {
 	ids := IDs()
-	workers := l.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
 	arts := make([]*Artifact, len(ids))
 	errs := make([]error, len(ids))
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= len(ids) {
-			return -1
-		}
-		i := next
-		next++
-		return i
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				arts[i], errs[i] = l.Run(ctx, ids[i])
-			}
-		}()
-	}
-	wg.Wait()
+	// Every artifact runs: a failure lands in errs, not in the pool.
+	_ = fanout.Run(l.cfg.Workers, len(ids), func(i int) error {
+		arts[i], errs[i] = l.Run(ctx, ids[i])
+		return nil
+	})
 
 	out := make([]*Artifact, 0, len(ids))
 	var firstErr error

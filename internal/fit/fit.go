@@ -312,53 +312,66 @@ func Auto(sample []float64, families ...Family) ([]Result, error) {
 	if len(families) == 0 {
 		families = DefaultFamilies
 	}
-	results := make([]Result, 0, len(families))
-	for _, fam := range families {
-		r := Result{Family: fam}
-		var d dist.Dist
-		var err error
-		switch fam {
-		case FamExponential:
-			d, err = wrap(Exponential(sample))
-		case FamShiftedExponential:
-			d, err = wrap(ShiftedExponential(sample))
-		case FamLogNormal:
-			d, err = wrap(LogNormal(sample))
-		case FamNormal:
-			d, err = wrap(Normal(sample))
-		case FamGamma:
-			d, err = wrap(Gamma(sample))
-		case FamWeibull:
-			d, err = wrap(Weibull(sample))
-		case FamLevy:
-			d, err = wrap(Levy(sample))
-		default:
-			err = fmt.Errorf("fit: unknown family %q", fam)
-		}
-		if err != nil {
-			r.Err = err
-			results = append(results, r)
-			continue
-		}
-		r.Dist = d
-		ksRes, err := ks.OneSample(sample, d)
-		if err != nil {
-			r.Err = err
-		} else {
-			r.KS = ksRes
-		}
-		results = append(results, r)
+	results := make([]Result, len(families))
+	for i, fam := range families {
+		results[i] = One(sample, fam)
 	}
-	sort.SliceStable(results, func(i, j int) bool {
+	sorted := make([]Result, 0, len(results))
+	for _, i := range Rank(results) {
+		sorted = append(sorted, results[i])
+	}
+	return sorted, nil
+}
+
+// One fits a single family to the sample and tests the fit by KS.
+// Calls on the same sample share it read-only, so several families
+// may be fitted concurrently.
+func One(sample []float64, fam Family) Result {
+	r := Result{Family: fam}
+	switch fam {
+	case FamExponential:
+		r.Dist, r.Err = wrap(Exponential(sample))
+	case FamShiftedExponential:
+		r.Dist, r.Err = wrap(ShiftedExponential(sample))
+	case FamLogNormal:
+		r.Dist, r.Err = wrap(LogNormal(sample))
+	case FamNormal:
+		r.Dist, r.Err = wrap(Normal(sample))
+	case FamGamma:
+		r.Dist, r.Err = wrap(Gamma(sample))
+	case FamWeibull:
+		r.Dist, r.Err = wrap(Weibull(sample))
+	case FamLevy:
+		r.Dist, r.Err = wrap(Levy(sample))
+	default:
+		r.Err = fmt.Errorf("fit: unknown family %q", fam)
+	}
+	if r.Err != nil {
+		return r
+	}
+	r.KS, r.Err = ks.OneSample(sample, r.Dist)
+	return r
+}
+
+// Rank returns the indices of results in Auto's order: successful
+// fits first, by descending KS p-value, with ties and failures in
+// their given order.
+func Rank(results []Result) []int {
+	order := make([]int, len(results))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ra, rb := results[order[a]], results[order[b]]
 		switch {
-		case results[i].Err == nil && results[j].Err != nil:
+		case ra.Err == nil && rb.Err != nil:
 			return true
-		case results[i].Err != nil:
+		case ra.Err != nil:
 			return false
 		}
-		return results[i].KS.PValue > results[j].KS.PValue
+		return ra.KS.PValue > rb.KS.PValue
 	})
-	return results, nil
+	return order
 }
 
 // Best returns the highest-p-value successful fit from Auto, or an

@@ -18,13 +18,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"lasvegas/internal/adaptive"
 	"lasvegas/internal/csp"
+	"lasvegas/internal/fanout"
 	"lasvegas/internal/stats"
 	"lasvegas/internal/xrand"
 )
@@ -42,20 +41,14 @@ type Campaign struct {
 // Collect runs the Adaptive Search solver `runs` times on fresh
 // instances from factory, each with an independent stream derived
 // from seed, spreading the runs over `workers` goroutines
-// (0 = GOMAXPROCS). It fails fast on the first solver error or
-// context cancellation.
+// (0 = GOMAXPROCS). It fails fast on a solver error or context
+// cancellation, reporting the lowest failed run.
 func Collect(ctx context.Context, factory func() (csp.Problem, error), params adaptive.Params, runs int, seed uint64, workers int) (*Campaign, error) {
 	if factory == nil {
 		return nil, errors.New("runtimes: nil factory")
 	}
 	if runs < 1 {
 		return nil, fmt.Errorf("runtimes: %d runs", runs)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > runs {
-		workers = runs
 	}
 	probe, err := factory()
 	if err != nil {
@@ -73,67 +66,29 @@ func Collect(ctx context.Context, factory func() (csp.Problem, error), params ad
 	for i := range streams {
 		streams[i] = root.Split(uint64(i))
 	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		next     int
-	)
-	claim := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr != nil || next >= runs {
-			return -1
+	err = fanout.Run(workers, runs, func(i int) error {
+		p, err := factory()
+		if err != nil {
+			return err
 		}
-		i := next
-		next++
-		return i
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+		s, err := adaptive.New(p, params)
+		if err != nil {
+			return err
 		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := claim()
-				if i < 0 {
-					return
-				}
-				p, err := factory()
-				if err != nil {
-					fail(err)
-					return
-				}
-				s, err := adaptive.New(p, params)
-				if err != nil {
-					fail(err)
-					return
-				}
-				start := time.Now()
-				res := s.RunContext(ctx, streams[i])
-				if !res.Solved {
-					if res.Err != nil {
-						fail(fmt.Errorf("runtimes: run %d: %w", i, res.Err))
-					} else {
-						fail(fmt.Errorf("runtimes: run %d unsolved", i))
-					}
-					return
-				}
-				c.Iterations[i] = float64(res.Stats.Iterations)
-				c.Seconds[i] = time.Since(start).Seconds()
+		start := time.Now()
+		res := s.RunContext(ctx, streams[i])
+		if !res.Solved {
+			if res.Err != nil {
+				return fmt.Errorf("runtimes: run %d: %w", i, res.Err)
 			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			return fmt.Errorf("runtimes: run %d unsolved", i)
+		}
+		c.Iterations[i] = float64(res.Stats.Iterations)
+		c.Seconds[i] = time.Since(start).Seconds()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -146,7 +146,9 @@ type Config struct {
 	Families []lasvegas.Family
 	// Alpha is the KS significance level (default 0.05).
 	Alpha float64
-	// Workers bounds concurrent fit and collect jobs
+	// Workers bounds concurrent fit, policy and collect jobs, and the
+	// goroutines each job spreads over (its runs, candidate families
+	// or policy rows), so one job uses at most Workers goroutines
 	// (default 0 = GOMAXPROCS via the lasvegas defaults).
 	Workers int
 	// MaxBodyBytes caps buffered request bodies (default 8 MiB).
@@ -347,6 +349,7 @@ func New(cfg Config) (*Server, error) {
 	opts := []lasvegas.Option{
 		lasvegas.WithAlpha(cfg.Alpha),
 		lasvegas.WithCensoredFit(true),
+		lasvegas.WithWorkers(workers),
 	}
 	if explicitFamilies {
 		opts = append(opts, lasvegas.WithFamilies(cfg.Families...))
@@ -739,23 +742,30 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	trimmed := bytes.TrimLeft(body, " \t\r\n")
-	// A shard array merges, a {"collect": ...} object collects
+	// A replication write is one campaign's canonical bytes (see
+	// storeCampaign), decoded once with no routing probe. Otherwise a
+	// shard array merges, a {"collect": ...} object collects
 	// server-side, a {"merge_ids": [...]} object pools stored
 	// campaigns, anything else is a campaign upload (campaigns always
 	// carry "iterations", even sketch-backed ones, where it is null; a
 	// probe decode keeps a metadata key named "collect" from misrouting
 	// an upload).
+	replication := r.Header.Get(replicateHeader) != ""
 	var probe struct {
 		Collect    json.RawMessage `json:"collect"`
 		MergeIDs   []string        `json:"merge_ids"`
 		Iterations json.RawMessage `json:"iterations"`
 	}
-	probed := json.Unmarshal(trimmed, &probe) == nil && probe.Iterations == nil
+	probed := !replication && json.Unmarshal(trimmed, &probe) == nil && probe.Iterations == nil
 	var (
 		c      *lasvegas.Campaign
 		merged int
 	)
 	switch {
+	case replication:
+		if c, err = store.Decode(trimmed); err != nil {
+			err = fmt.Errorf("serve: campaign upload: %w", err)
+		}
 	case len(trimmed) > 0 && trimmed[0] == '[':
 		c, merged, err = mergeShards(trimmed)
 	case probed && probe.Collect != nil:
@@ -1390,8 +1400,8 @@ func (s *Server) peekPeer(ctx context.Context, peer int, id string) (*lasvegas.C
 	if err != nil {
 		return nil, nil
 	}
-	c := &lasvegas.Campaign{}
-	if err := json.Unmarshal(data, c); err != nil {
+	c, err := store.Decode(data)
+	if err != nil {
 		return nil, nil
 	}
 	rid, canonical, err := store.Encode(c)

@@ -227,13 +227,17 @@ type wireParser struct {
 	ok bool
 }
 
-// try consumes lit if the input continues with it.
+// try consumes lit (never empty) if the input continues with it. The
+// first byte is compared on its own, so the one-byte separators of
+// the value lists cost no call once try is inlined.
 func (p *wireParser) try(lit string) bool {
-	if p.ok && bytes.HasPrefix(p.b[p.i:], []byte(lit)) {
-		p.i += len(lit)
-		return true
+	n := len(lit)
+	if !p.ok || len(p.b)-p.i < n || p.b[p.i] != lit[0] ||
+		(n > 1 && string(p.b[p.i+1:p.i+n]) != lit[1:]) {
+		return false
 	}
-	return false
+	p.i += n
+	return true
 }
 
 // listLen returns how many numbers the list the input continues with
@@ -291,12 +295,20 @@ func (p *wireParser) float() float64 {
 		return 0
 	}
 	b := p.b[p.i:]
-	if n := digitsEnd(b, 0); n > 0 && n <= maxExactDigits && (b[0] != '0' || n == 1) &&
+	// Read up to maxExactDigits+1 plain digits in one pass; one more
+	// digit than the bound sends the token to ParseFloat.
+	var u uint64
+	n := 0
+	for n < len(b) && n <= maxExactDigits && '0' <= b[n] && b[n] <= '9' {
+		u = u*10 + uint64(b[n]-'0')
+		n++
+	}
+	if n > 0 && n <= maxExactDigits && (b[0] != '0' || n == 1) &&
 		(n == len(b) || (b[n] != '.' && b[n] != 'e' && b[n] != 'E')) {
 		p.i += n
-		return float64(digitsValue(b[:n]))
+		return float64(u)
 	}
-	n := numberLen(b)
+	n = numberLen(b)
 	if n == 0 {
 		p.ok = false
 		return 0

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -112,8 +111,8 @@ func (d *Disk) replay(path string) (good int64, err error) {
 			good += int64(len(line))
 			continue
 		}
-		c := &lasvegas.Campaign{}
-		if err := json.Unmarshal(rec, c); err != nil {
+		c, err := Decode(rec)
+		if err != nil {
 			// A corrupt record that *ends in a newline* was fully
 			// written — under write-then-fsync-then-ack it may have
 			// been acknowledged, so silently truncating it would break

@@ -7,6 +7,7 @@ import (
 
 	"lasvegas/internal/core"
 	"lasvegas/internal/dist"
+	"lasvegas/internal/fanout"
 	"lasvegas/internal/fit"
 	"lasvegas/internal/ks"
 	"lasvegas/internal/policy"
@@ -255,19 +256,18 @@ type Candidate struct {
 	Err error
 }
 
-// fitSample runs fit.Auto on a complete sample and converts to the
-// public candidate table.
+// fitSample fits every configured family to a complete sample, one
+// family per task on up to WithWorkers goroutines, and returns the
+// public candidate table in fit.Auto's order.
 func (p *Predictor) fitSample(sample []float64) ([]Candidate, error) {
-	fams := make([]fit.Family, len(p.cfg.families))
-	for i, f := range p.cfg.families {
-		fams[i] = fit.Family(f)
+	if len(sample) == 0 {
+		return nil, fmt.Errorf("lasvegas: %w", fit.ErrSample)
 	}
-	results, err := fit.Auto(sample, fams...)
-	if err != nil {
-		return nil, fmt.Errorf("lasvegas: %w", err)
-	}
-	cands := make([]Candidate, 0, len(results))
-	for _, r := range results {
+	results := make([]fit.Result, len(p.cfg.families))
+	cands := make([]Candidate, len(p.cfg.families))
+	_ = fanout.Run(p.cfg.workers, len(cands), func(i int) error {
+		r := fit.One(sample, fit.Family(p.cfg.families[i]))
+		results[i] = r
 		c := Candidate{Family: Family(r.Family), Err: r.Err}
 		if r.Err == nil {
 			c.Law = r.Dist.String()
@@ -284,9 +284,14 @@ func (p *Predictor) fitSample(sample []float64) ([]Candidate, error) {
 				c.ADValid = true
 			}
 		}
-		cands = append(cands, c)
+		cands[i] = c
+		return nil
+	})
+	ranked := make([]Candidate, 0, len(cands))
+	for _, i := range fit.Rank(results) {
+		ranked = append(ranked, cands[i])
 	}
-	return cands, nil
+	return ranked, nil
 }
 
 func toGoF(r ks.Result) GoodnessOfFit {

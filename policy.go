@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"lasvegas/internal/fanout"
 	"lasvegas/internal/policy"
 )
 
@@ -90,7 +91,8 @@ type PolicyTable struct {
 // the campaign's own plug-in law — observed runtimes, not the fit —
 // so a wrong fitted family shows up as closed-form/replay
 // disagreement in the table. Both are seeded from WithSeed and
-// deterministic.
+// deterministic, and the rows' replays and bootstraps run on up to
+// WithWorkers goroutines. ctx is checked before each of them.
 func (p *Predictor) PolicyTable(ctx context.Context, c *Campaign, m *Model) (*PolicyTable, error) {
 	if c == nil {
 		return nil, errors.New("lasvegas: nil campaign")
@@ -120,28 +122,50 @@ func (p *Predictor) PolicyTable(ctx context.Context, c *Campaign, m *Model) (*Po
 		Reps:      p.cfg.simReps,
 		Resamples: p.cfg.resamples,
 	}
-	n := c.TotalRuns()
-	for _, e := range evals {
+	// Each row's replay and bootstrap are independent seeded tasks, so
+	// they spread over the workers with results identical to a serial
+	// loop. Task r bootstraps row r and task k+r replays it: a
+	// bootstrap re-prices every resample of the whole campaign and
+	// takes several times as long as its replay, so the bootstraps
+	// start first and the replays fill in behind them. Every task runs
+	// to completion with its error in its own slot, so the error
+	// reported is the serial loop's, that of the first failing row,
+	// replay before bootstrap; only cancellation stops the pool.
+	n, k := c.TotalRuns(), len(evals)
+	sims, simErrs := make([]policy.SimResult, k), make([]error, k)
+	cis, ciErrs := make([]policy.CI, k), make([]error, k)
+	err = fanout.Run(p.cfg.workers, 2*k, func(t int) error {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		sim, err := policy.Simulate(plug.law, e.Policy, p.cfg.simReps, policySeed(p.cfg.seed, e.Policy.Kind, 0x51D))
-		if err != nil {
-			return nil, fmt.Errorf("lasvegas: policy replay: %w", err)
+		if t < k {
+			pol := evals[t].Policy
+			cis[t], ciErrs[t] = policy.BootstrapCI(plug.law, n, pol, p.cfg.resamples, p.cfg.level, policySeed(p.cfg.seed, pol.Kind, 0xB007))
+		} else {
+			pol := evals[t-k].Policy
+			sims[t-k], simErrs[t-k] = policy.Simulate(plug.law, pol, p.cfg.simReps, policySeed(p.cfg.seed, pol.Kind, 0x51D))
 		}
-		ci, err := policy.BootstrapCI(plug.law, n, e.Policy, p.cfg.resamples, p.cfg.level, policySeed(p.cfg.seed, e.Policy.Kind, 0xB007))
-		if err != nil {
-			return nil, fmt.Errorf("lasvegas: policy bootstrap: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range evals {
+		if simErrs[i] != nil {
+			return nil, fmt.Errorf("lasvegas: policy replay: %w", simErrs[i])
+		}
+		if ciErrs[i] != nil {
+			return nil, fmt.Errorf("lasvegas: policy bootstrap: %w", ciErrs[i])
 		}
 		table.Rows = append(table.Rows, PolicyRow{
 			Policy:    string(e.Policy.Kind),
 			Cutoff:    e.Policy.Cutoff,
 			Unit:      e.Policy.Unit,
 			Expected:  e.Expected,
-			Simulated: sim.Mean,
-			StdErr:    sim.StdErr,
-			Lo:        ci.Lo,
-			Hi:        ci.Hi,
+			Simulated: sims[i].Mean,
+			StdErr:    sims[i].StdErr,
+			Lo:        cis[i].Lo,
+			Hi:        cis[i].Hi,
 			Gain:      e.Gain,
 		})
 	}

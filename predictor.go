@@ -61,8 +61,12 @@ func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
 }
 
-// WithWorkers bounds the goroutines Collect spreads runs over
-// (default 0 = GOMAXPROCS; 1 forces serial collection).
+// WithWorkers bounds the goroutines one call spreads its independent
+// work over: Collect's runs, FitAll's candidate families (raw and
+// sketch-backed campaigns) and PolicyTable's per-row replays and
+// bootstraps (default 0 = GOMAXPROCS; 1 runs every call serially on
+// the caller's goroutine). Results do not depend on it: each task
+// draws from its own seeded stream and writes its own slot.
 func WithWorkers(workers int) Option {
 	return func(c *config) { c.workers = workers }
 }

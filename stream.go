@@ -249,19 +249,18 @@ func canonicalRecord(line []byte) (float64, bool) {
 	exact := n > 0 && n <= maxExactDigits && (b[0] != '0' || n == 1) &&
 		(n == len(b) || (b[n] != '.' && b[n] != 'e' && b[n] != 'E'))
 	if !exact {
-		if n = numberLen(b); n == 0 {
+		if n, _, _ = numberLen(b); n == 0 {
 			return 0, false
 		}
 	}
 	it, b := b[:n], b[n:]
 	if s, ok := bytes.CutPrefix(b, []byte(`,"seconds":`)); ok {
-		m := numberLen(s)
+		m, digits, exp := numberLen(s)
 		if m == 0 {
 			return 0, false
 		}
-		sec, _ := bytes.CutPrefix(s[:m], []byte("-"))
-		if bytes.IndexAny(sec, "eE") >= 0 || digitsEnd(sec, 0) > maxExactDigits {
-			if _, err := strconv.ParseFloat(string(sec), 64); err != nil {
+		if exp || digits > maxExactDigits {
+			if _, err := strconv.ParseFloat(string(s[:m]), 64); err != nil {
 				return 0, false
 			}
 		}
@@ -282,26 +281,30 @@ func canonicalRecord(line []byte) (float64, bool) {
 // float64(u) has the bits strconv.ParseFloat returns.
 const maxExactDigits = 15
 
-// numberLen returns the length of the JSON number that starts b,
+// numberLen returns the length n of the JSON number that starts b,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 when b does
-// not start with one.
-func numberLen(b []byte) int {
+// not start with one, together with the number of digits before its
+// fraction and whether it has an exponent — what its one scan already
+// knows about the number's range.
+func numberLen(b []byte) (n, intDigits int, exp bool) {
 	i := 0
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
+	start := i
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
 		i = digitsEnd(b, i+1)
 	default:
-		return 0
+		return 0, 0, false
 	}
+	intDigits = i - start
 	if i < len(b) && b[i] == '.' {
 		j := digitsEnd(b, i+1)
 		if j == i+1 {
-			return 0
+			return 0, 0, false
 		}
 		i = j
 	}
@@ -312,11 +315,11 @@ func numberLen(b []byte) int {
 		}
 		j := digitsEnd(b, i)
 		if j == i {
-			return 0
+			return 0, 0, false
 		}
-		i = j
+		i, exp = j, true
 	}
-	return i
+	return i, intDigits, exp
 }
 
 // trimSpace strips JSON whitespace from both ends of b.
