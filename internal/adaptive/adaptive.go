@@ -377,13 +377,3 @@ func (s *Solver) reset(r *xrand.Rand, st *Stats) {
 	s.tabuUsed = 0
 	st.Resets++
 }
-
-// Solve is a convenience one-shot: build a solver with default
-// parameters and run it with the given seed.
-func Solve(p csp.Problem, seed uint64) (Result, error) {
-	s, err := New(p, Params{})
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Run(xrand.New(seed)), nil
-}

@@ -161,17 +161,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSolveConvenience(t *testing.T) {
-	p, _ := problems.New(problems.Queens, 12)
-	res, err := Solve(p, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Solved {
-		t.Error("convenience Solve failed on 12-queens")
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	p, _ := problems.New(problems.AllInterval, 14)
 	s, _ := New(p, Params{})

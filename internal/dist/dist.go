@@ -99,6 +99,6 @@ func SampleN(d Dist, r *xrand.Rand, n int) []float64 {
 }
 
 // Every family now inverts its CDF analytically or with an
-// initializer-plus-Newton scheme of its own (gamma: Wilson–Hilferty;
-// beta: AS 109-style starting values); the former generic
-// 200-step bisection fallback is gone.
+// initializer-plus-Newton scheme of its own (gamma: Wilson–Hilferty
+// starting values); the former generic 200-step bisection fallback is
+// gone.

@@ -37,8 +37,6 @@ func laws(t *testing.T) map[string]dist.Dist {
 		"trunc-normal":    mk(dist.NewTruncatedNormal(30, 10, 0)),
 		"gamma":           mk(dist.NewGamma(2.5, 0.4)),
 		"weibull":         mk(dist.NewWeibull(1.8, 50)),
-		"uniform":         mk(dist.NewUniform(2, 7)),
-		"beta":            mk(dist.NewBeta(2, 5, 0, 1)),
 	}
 }
 
@@ -288,9 +286,6 @@ func TestValidationRejectsBadParameters(t *testing.T) {
 		{"gamma rate 0", errOf(dist.NewGamma(1, 0))},
 		{"weibull shape 0", errOf(dist.NewWeibull(0, 1))},
 		{"levy scale 0", errOf(dist.NewLevy(0, 0))},
-		{"uniform empty", errOf(dist.NewUniform(3, 3))},
-		{"uniform inverted", errOf(dist.NewUniform(5, 2))},
-		{"beta alpha 0", errOf(dist.NewBeta(0, 1, 0, 1))},
 		{"trunc-normal all mass cut", errOf(dist.NewTruncatedNormal(0, 1, 1e9))},
 		{"empirical empty", errOf2(dist.NewEmpirical(nil))},
 		{"empirical NaN", errOf2(dist.NewEmpirical([]float64{1, math.NaN()}))},

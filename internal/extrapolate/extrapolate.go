@@ -29,7 +29,6 @@ import (
 	"math"
 	"sort"
 
-	"lasvegas/internal/core"
 	"lasvegas/internal/dist"
 	"lasvegas/internal/fit"
 	"lasvegas/internal/ks"
@@ -263,15 +262,6 @@ func (m *Model) smallestSigma() float64 {
 		return 1
 	}
 	return s
-}
-
-// PredictorAt returns a speed-up predictor for the target size.
-func (m *Model) PredictorAt(size int) (*core.Predictor, error) {
-	d, err := m.DistAt(size)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPredictor(d)
 }
 
 // MinPValue returns the weakest per-size KS p-value of the stable

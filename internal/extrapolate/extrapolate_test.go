@@ -72,7 +72,11 @@ func TestExtrapolatedSpeedupCloseToTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	const target = 16
-	pred, err := m.PredictorAt(target)
+	d, err := m.DistAt(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := core.NewPredictor(d)
 	if err != nil {
 		t.Fatal(err)
 	}

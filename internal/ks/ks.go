@@ -173,25 +173,3 @@ func kolmogorovQ(t float64) float64 {
 	}
 	return q
 }
-
-// CriticalValue returns the approximate critical D at significance
-// alpha for sample size n (inverse of PValue by bisection), useful
-// for reporting acceptance bands.
-func CriticalValue(alpha float64, n int) float64 {
-	if alpha <= 0 {
-		return 1
-	}
-	if alpha >= 1 {
-		return 0
-	}
-	lo, hi := 0.0, 1.0
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if PValue(mid, n) > alpha {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

@@ -85,7 +85,7 @@ func TestOneSampleEmpty(t *testing.T) {
 
 func TestOneSampleExactSmallCase(t *testing.T) {
 	// Single observation at the median of U(0,1): D = 0.5 exactly.
-	u, _ := dist.NewUniform(0, 1)
+	u := uniform{lo: 0, hi: 1}
 	res, err := OneSample([]float64{0.5}, u)
 	if err != nil {
 		t.Fatal(err)
@@ -153,21 +153,6 @@ func TestPValueEdgeCases(t *testing.T) {
 	}
 	if PValue(0.5, 0) != 1 {
 		t.Error("n=0 should give p=1")
-	}
-}
-
-func TestCriticalValueInvertsPValue(t *testing.T) {
-	for _, alpha := range []float64{0.01, 0.05, 0.10} {
-		for _, n := range []int{50, 650} {
-			d := CriticalValue(alpha, n)
-			p := PValue(d, n)
-			if math.Abs(p-alpha) > 1e-6 {
-				t.Errorf("alpha=%v n=%d: PValue(critical) = %v", alpha, n, p)
-			}
-		}
-	}
-	if CriticalValue(0, 10) != 1 || CriticalValue(1, 10) != 0 {
-		t.Error("degenerate alphas mishandled")
 	}
 }
 

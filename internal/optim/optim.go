@@ -85,41 +85,6 @@ func BrentRoot(f func(float64) float64, a, b, tol float64) (float64, error) {
 	return b, ErrNoConvergence
 }
 
-// Bisect finds a root of f in [a, b] by pure bisection; slower than
-// BrentRoot but immune to wild f. Used as a fallback by quantile
-// inversion.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return 0, ErrBracket
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	for iter := 0; iter < 200; iter++ {
-		m := (a + b) / 2
-		if b-a <= tol || m == a || m == b {
-			return m, nil
-		}
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if (fm > 0) == (fa > 0) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return (a + b) / 2, ErrNoConvergence
-}
-
 // golden is the golden ratio section constant.
 const golden = 0.3819660112501051
 

@@ -51,24 +51,6 @@ func TestBrentRootSteepFunction(t *testing.T) {
 	}
 }
 
-func TestBisectAgreesWithBrent(t *testing.T) {
-	f := func(x float64) float64 { return math.Tanh(x) - 0.5 }
-	a, err1 := BrentRoot(f, 0, 3, 1e-13)
-	b, err2 := Bisect(f, 0, 3, 1e-13)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if math.Abs(a-b) > 1e-10 {
-		t.Fatalf("brent %v vs bisect %v", a, b)
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return 1.0 }, 0, 1, 1e-12); !errors.Is(err, ErrBracket) {
-		t.Fatalf("want ErrBracket, got %v", err)
-	}
-}
-
 func TestBrentMinParabola(t *testing.T) {
 	x, err := BrentMin(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 1e-12)
 	if err != nil {

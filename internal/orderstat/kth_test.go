@@ -2,6 +2,7 @@ package orderstat
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lasvegas/internal/dist"
@@ -10,52 +11,51 @@ import (
 
 func TestKthReducesToMinAtK1(t *testing.T) {
 	base, _ := dist.NewShiftedExponential(10, 0.01)
-	k1, err := NewKth(base, 1, 8)
+	m := Min{Base: base, N: 8}
+	e1, err := KthMoment(base, 1, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Min{Base: base, N: 8}
-	for _, x := range []float64{15, 50, 200, 800} {
-		if got, want := k1.CDF(x), m.CDF(x); math.Abs(got-want) > 1e-10 {
-			t.Errorf("CDF(%v): kth %v vs min %v", x, got, want)
-		}
-		if got, want := k1.PDF(x), m.PDF(x); math.Abs(got-want) > 1e-8*(1+want) {
-			t.Errorf("PDF(%v): kth %v vs min %v", x, got, want)
-		}
+	e2, err := KthMoment(base, 1, 8, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	approx(t, k1.Mean(), m.Mean(), 1e-6, "k=1 mean equals min mean")
+	approx(t, e1, m.Mean(), 1e-6, "k=1 mean equals min mean")
+	approx(t, e2-e1*e1, m.Var(), 1e-6, "k=1 variance equals min variance")
 }
 
 func TestKthMaxOrderStatistic(t *testing.T) {
-	// k = n is the maximum: F_{(n:n)} = F^n.
-	base, _ := dist.NewUniform(0, 1)
-	kn, err := NewKth(base, 5, 5)
+	// k = n is the maximum: X_(5:5) of U(0,1) is Beta(5, 1).
+	base := uniform{lo: 0, hi: 1}
+	m1, err := KthMoment(base, 5, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []float64{0.2, 0.5, 0.9} {
-		want := math.Pow(x, 5)
-		if got := kn.CDF(x); math.Abs(got-want) > 1e-10 {
-			t.Errorf("max CDF(%v) = %v, want %v", x, got, want)
-		}
+	m2, err := KthMoment(base, 5, 5, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// E[max of 5 uniforms] = 5/6.
-	approx(t, kn.Mean(), 5.0/6, 1e-6, "uniform max mean")
+	approx(t, m1, 5.0/6, 1e-6, "uniform max mean")
+	approx(t, m2, 5.0/7, 1e-6, "uniform max second moment")
 }
 
 func TestKthUniformClosedForms(t *testing.T) {
-	base, _ := dist.NewUniform(0, 1)
+	// X_(k:n) of U(0,1) is Beta(k, n-k+1):
+	// Var = k(n-k+1)/((n+1)²(n+2)).
+	base := uniform{lo: 0, hi: 1}
 	const n = 7
 	for k := 1; k <= n; k++ {
-		o, err := NewKth(base, k, n)
+		m1, err := KthMoment(base, k, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := float64(k) / float64(n+1)
-		approx(t, o.Mean(), want, 1e-6, "uniform k-th mean")
-		// Median check via quantile round trip.
-		med := o.Quantile(0.5)
-		approx(t, o.CDF(med), 0.5, 1e-8, "quantile round trip")
+		m2, err := KthMoment(base, k, n, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kf := float64(k)
+		want := kf * (n - kf + 1) / ((n + 1) * (n + 1) * (n + 2))
+		approx(t, m2-m1*m1, want, 1e-6, "uniform k-th variance")
 	}
 }
 
@@ -64,8 +64,10 @@ func TestKthOrderingOfMeans(t *testing.T) {
 	base, _ := dist.NewLogNormal(0, 3, 1)
 	prev := math.Inf(-1)
 	for k := 1; k <= 6; k++ {
-		o, _ := NewKth(base, k, 6)
-		m := o.Mean()
+		m, err := KthMoment(base, k, 6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if m <= prev {
 			t.Fatalf("E[X_(%d:6)] = %v not increasing (prev %v)", k, m, prev)
 		}
@@ -74,30 +76,24 @@ func TestKthOrderingOfMeans(t *testing.T) {
 }
 
 func TestKthSampleMatchesMean(t *testing.T) {
+	// Brute force: the 3rd smallest of 9 Weibull draws, averaged.
 	base, _ := dist.NewWeibull(1.5, 50)
-	o, _ := NewKth(base, 3, 9)
+	want, err := KthMoment(base, 3, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := xrand.New(123)
 	const reps = 60000
+	draws := make([]float64, 9)
 	var sum float64
 	for i := 0; i < reps; i++ {
-		sum += o.Sample(r)
+		for j := range draws {
+			draws[j] = base.Sample(r)
+		}
+		slices.Sort(draws)
+		sum += draws[2]
 	}
-	approx(t, sum/reps, o.Mean(), 0.02, "sampled mean vs analytic")
-}
-
-func TestKthPDFIntegratesToCDF(t *testing.T) {
-	base, _ := dist.NewNormal(10, 2)
-	o, _ := NewKth(base, 2, 4)
-	a, b := o.Quantile(0.1), o.Quantile(0.9)
-	const steps = 40000
-	h := (b - a) / steps
-	sum := 0.0
-	for i := 0; i < steps; i++ {
-		sum += o.PDF(a + (float64(i)+0.5)*h)
-	}
-	sum *= h
-	want := o.CDF(b) - o.CDF(a)
-	approx(t, sum, want, 1e-4, "∫pdf vs ΔCDF")
+	approx(t, sum/reps, want, 0.02, "sampled mean vs analytic")
 }
 
 func TestKthStragglerAnalysis(t *testing.T) {
@@ -105,38 +101,36 @@ func TestKthStragglerAnalysis(t *testing.T) {
 	// median finisher (k=8) takes substantially longer than the
 	// winner (k=1) — the work the cancellation discards.
 	base, _ := dist.NewExponential(0.001)
-	winner, _ := NewKth(base, 1, 16)
-	median, _ := NewKth(base, 8, 16)
+	winner, err := KthMoment(base, 1, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	median, err := KthMoment(base, 8, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Exponential order statistics: E[X_(k:n)] = (1/λ)·Σ_{i=0}^{k-1} 1/(n-i).
 	wantWinner := 1000.0 / 16
 	var wantMedian float64
 	for i := 0; i < 8; i++ {
 		wantMedian += 1000.0 / float64(16-i)
 	}
-	approx(t, winner.Mean(), wantWinner, 1e-5, "winner mean")
-	approx(t, median.Mean(), wantMedian, 1e-5, "median finisher mean")
-	if median.Mean() < 5*winner.Mean() {
-		t.Errorf("median straggler %v vs winner %v — expected ≫", median.Mean(), winner.Mean())
+	approx(t, winner, wantWinner, 1e-5, "winner mean")
+	approx(t, median, wantMedian, 1e-5, "median finisher mean")
+	if median < 5*winner {
+		t.Errorf("median straggler %v vs winner %v — expected ≫", median, winner)
 	}
 }
 
 func TestKthValidation(t *testing.T) {
 	base, _ := dist.NewExponential(1)
-	if _, err := NewKth(nil, 1, 2); err == nil {
-		t.Error("nil base accepted")
-	}
-	if _, err := NewKth(base, 0, 2); err == nil {
+	if _, err := KthMoment(base, 0, 2, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := NewKth(base, 3, 2); err == nil {
+	if _, err := KthMoment(base, 3, 2, 1); err == nil {
 		t.Error("k>n accepted")
 	}
-}
-
-func TestKthString(t *testing.T) {
-	base, _ := dist.NewExponential(1)
-	o, _ := NewKth(base, 2, 5)
-	if o.String() == "" {
-		t.Error("empty String()")
+	if _, err := KthMoment(base, 1, 2, 0); err == nil {
+		t.Error("r=0 accepted")
 	}
 }

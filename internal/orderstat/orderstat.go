@@ -1,7 +1,7 @@
 // Package orderstat implements the order-statistics machinery of the
 // paper's §3: the distribution of Z(n) = min(X₁..Xₙ) for n i.i.d.
-// copies of a runtime distribution Y, its moments, and k-th order
-// statistics in general.
+// copies of a runtime distribution Y, its moments, and the moments of
+// k-th order statistics in general.
 //
 // The central identities (paper §3.1):
 //
@@ -103,9 +103,6 @@ func (m Min) Mean() float64 {
 		return b.MinDist(m.N).Mean()
 	case dist.Weibull:
 		return b.MinDist(m.N).Mean()
-	case dist.Uniform:
-		// Textbook: E = Lo + (Hi-Lo)/(n+1).
-		return b.Lo + (b.Hi-b.Lo)/float64(m.N+1)
 	case minExpecter:
 		return b.MinExpectation(m.N)
 	}
@@ -199,11 +196,6 @@ func (m Min) Var() float64 {
 		return b.MinDist(m.N).Var()
 	case dist.Weibull:
 		return b.MinDist(m.N).Var()
-	case dist.Uniform:
-		// Textbook: Var = n(Hi-Lo)²/((n+1)²(n+2)).
-		w := b.Hi - b.Lo
-		nf := float64(m.N)
-		return nf * w * w / ((nf + 1) * (nf + 1) * (nf + 2))
 	}
 	e1, err1 := Moment(m.Base, m.N, 1)
 	e2, err2 := Moment(m.Base, m.N, 2)

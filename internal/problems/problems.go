@@ -6,7 +6,6 @@ package problems
 
 import (
 	"fmt"
-	"sort"
 
 	"lasvegas/internal/csp"
 	"lasvegas/internal/problems/allinterval"
@@ -25,13 +24,6 @@ const (
 	Costas      Kind = "costas"
 	Queens      Kind = "queens"
 )
-
-// Kinds returns the registered families in stable order.
-func Kinds() []Kind {
-	ks := []Kind{AllInterval, MagicSquare, Costas, Queens}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
 
 // New constructs a fresh instance of the named family. For
 // MagicSquare, size is the board side (the number of variables is

@@ -1,8 +1,7 @@
 // Package quad provides the numerical integration routines behind the
-// speed-up predictor: adaptive Simpson quadrature, fixed-order
-// Gauss–Legendre rules, double-exponential (tanh-sinh) quadrature for
-// integrands with endpoint singularities, and transforms for
-// semi-infinite intervals.
+// speed-up predictor: double-exponential (tanh-sinh) quadrature for
+// integrands with endpoint singularities, its batched form, and the
+// transforms onto [0, 1] and semi-infinite intervals.
 //
 // The paper computes E[Z(n)] — the first moment of the first order
 // statistic — either symbolically (exponential family) or "with a
@@ -16,129 +15,13 @@ import (
 	"sync"
 )
 
-// ErrNoConvergence is reported when an adaptive rule exhausts its
-// subdivision budget before reaching the requested tolerance.
+// ErrNoConvergence is reported when tanh-sinh exhausts its budget of
+// step-halving levels before two successive levels agree to the
+// requested tolerance.
 var ErrNoConvergence = errors.New("quad: integration did not converge")
 
 // Func is a scalar integrand.
 type Func func(float64) float64
-
-// maxDepth bounds adaptive Simpson recursion; 2^50 subdivisions is far
-// beyond any sane request and only guards against pathological input.
-const maxDepth = 50
-
-// AdaptiveSimpson integrates f over [a, b] to absolute tolerance tol
-// using adaptive Simpson quadrature with Richardson correction.
-func AdaptiveSimpson(f Func, a, b, tol float64) (float64, error) {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return 0, errors.New("quad: NaN interval endpoint")
-	}
-	if a == b {
-		return 0, nil
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	fa, fb := f(a), f(b)
-	m, fm, whole := simpsonStep(f, a, b, fa, fb)
-	v, err := adaptAux(f, a, b, fa, fb, m, fm, whole, tol, maxDepth)
-	return v, err
-}
-
-// simpsonStep returns the midpoint, f(midpoint) and the Simpson
-// estimate over [a,b].
-func simpsonStep(f Func, a, b, fa, fb float64) (m, fm, s float64) {
-	m = (a + b) / 2
-	fm = f(m)
-	s = (b - a) / 6 * (fa + 4*fm + fb)
-	return
-}
-
-func adaptAux(f Func, a, b, fa, fb, m, fm, whole, tol float64, depth int) (float64, error) {
-	lm, flm, left := simpsonStep(f, a, m, fa, fm)
-	rm, frm, right := simpsonStep(f, m, b, fm, fb)
-	delta := left + right - whole
-	if depth <= 0 {
-		return left + right + delta/15, ErrNoConvergence
-	}
-	if math.Abs(delta) <= 15*tol {
-		return left + right + delta/15, nil
-	}
-	lv, lerr := adaptAux(f, a, m, fa, fm, lm, flm, left, tol/2, depth-1)
-	rv, rerr := adaptAux(f, m, b, fm, fb, rm, frm, right, tol/2, depth-1)
-	if lerr != nil {
-		return lv + rv, lerr
-	}
-	return lv + rv, rerr
-}
-
-// GaussLegendre integrates f over [a, b] with an n-point
-// Gauss–Legendre rule (exact for polynomials of degree 2n-1). Nodes
-// and weights are computed on first use per order and cached.
-func GaussLegendre(f Func, a, b float64, n int) float64 {
-	if n < 1 {
-		n = 16
-	}
-	nodes, weights := legendreRule(n)
-	mid, half := (a+b)/2, (b-a)/2
-	var sum float64
-	for i, x := range nodes {
-		sum += weights[i] * f(mid+half*x)
-	}
-	return sum * half
-}
-
-// legendre rule cache, keyed by order. Synchronized so the parallel
-// experiment lab can hit first-use from any goroutine; rules are
-// immutable once stored, so readers share slices safely.
-var (
-	ruleMu    sync.RWMutex
-	ruleCache = map[int][2][]float64{}
-)
-
-// Warm precomputes and caches the n-point rule; an optional
-// optimization to move rule construction out of a measured section.
-func Warm(n int) { legendreRule(n) }
-
-func legendreRule(n int) (nodes, weights []float64) {
-	ruleMu.RLock()
-	r, ok := ruleCache[n]
-	ruleMu.RUnlock()
-	if ok {
-		return r[0], r[1]
-	}
-	nodes = make([]float64, n)
-	weights = make([]float64, n)
-	// Newton iteration on P_n with the A&S asymptotic initial guess.
-	for i := 0; i < (n+1)/2; i++ {
-		x := math.Cos(math.Pi * (float64(i) + 0.75) / (float64(n) + 0.5))
-		var pp float64
-		for iter := 0; iter < 100; iter++ {
-			p0, p1 := 1.0, 0.0
-			for j := 0; j < n; j++ {
-				p2 := p1
-				p1 = p0
-				p0 = ((2*float64(j)+1)*x*p1 - float64(j)*p2) / (float64(j) + 1)
-			}
-			// derivative of P_n at x
-			pp = float64(n) * (x*p0 - p1) / (x*x - 1)
-			dx := p0 / pp
-			x -= dx
-			if math.Abs(dx) < 1e-15 {
-				break
-			}
-		}
-		nodes[i] = -x
-		nodes[n-1-i] = x
-		w := 2 / ((1 - x*x) * pp * pp)
-		weights[i] = w
-		weights[n-1-i] = w
-	}
-	ruleMu.Lock()
-	ruleCache[n] = [2][]float64{nodes, weights}
-	ruleMu.Unlock()
-	return nodes, weights
-}
 
 // TanhSinh integrates f over the open interval (a, b) with
 // double-exponential quadrature. It tolerates integrable singularities

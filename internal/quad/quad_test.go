@@ -12,47 +12,6 @@ func approx(t *testing.T, got, want, tol float64, msg string) {
 	}
 }
 
-func TestAdaptiveSimpsonPolynomial(t *testing.T) {
-	v, err := AdaptiveSimpson(func(x float64) float64 { return 3*x*x + 2*x + 1 }, 0, 2, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, v, 8+4+2, 1e-12, "∫(3x²+2x+1)")
-}
-
-func TestAdaptiveSimpsonSin(t *testing.T) {
-	v, err := AdaptiveSimpson(math.Sin, 0, math.Pi, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, v, 2, 1e-10, "∫sin over [0,π]")
-}
-
-func TestAdaptiveSimpsonEmptyInterval(t *testing.T) {
-	v, err := AdaptiveSimpson(math.Exp, 1, 1, 1e-10)
-	if err != nil || v != 0 {
-		t.Fatalf("empty interval: got %v, %v", v, err)
-	}
-}
-
-func TestAdaptiveSimpsonReversedInterval(t *testing.T) {
-	fwd, _ := AdaptiveSimpson(math.Exp, 0, 1, 1e-12)
-	rev, _ := AdaptiveSimpson(math.Exp, 1, 0, 1e-12)
-	approx(t, rev, -fwd, 1e-12, "orientation")
-}
-
-func TestGaussLegendreExactForPolynomials(t *testing.T) {
-	// n-point GL is exact for degree 2n-1: check x^9 with n=5.
-	v := GaussLegendre(func(x float64) float64 { return math.Pow(x, 9) }, 0, 1, 5)
-	approx(t, v, 0.1, 1e-13, "GL ∫x⁹")
-}
-
-func TestGaussLegendreGaussian(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(-x * x / 2) }
-	v := GaussLegendre(f, -8, 8, 64)
-	approx(t, v, math.Sqrt(2*math.Pi), 1e-12, "GL gaussian mass")
-}
-
 func TestTanhSinhSmooth(t *testing.T) {
 	v, err := TanhSinh(math.Exp, 0, 1, 1e-12)
 	if err != nil {
@@ -115,31 +74,8 @@ func TestUnitQuantileDomainExpectation(t *testing.T) {
 	approx(t, v, 1, 1e-9, "quantile-domain mean")
 }
 
-func TestWarmIsIdempotent(t *testing.T) {
-	Warm(20)
-	Warm(20)
-	nodes, weights := legendreRule(20)
-	if len(nodes) != 20 || len(weights) != 20 {
-		t.Fatal("rule has wrong size")
-	}
-	var sum float64
-	for _, w := range weights {
-		sum += w
-	}
-	approx(t, sum, 2, 1e-13, "GL weights sum to 2")
-}
-
 func BenchmarkTanhSinhSmooth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = TanhSinh(math.Exp, 0, 1, 1e-10)
-	}
-}
-
-func BenchmarkGaussLegendre64(b *testing.B) {
-	Warm(64)
-	f := func(x float64) float64 { return math.Exp(-x * x) }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = GaussLegendre(f, -5, 5, 64)
 	}
 }

@@ -12,13 +12,8 @@ package runtimes
 
 import (
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"strconv"
 	"time"
 
 	"lasvegas/internal/adaptive"
@@ -31,11 +26,11 @@ import (
 // Campaign is the outcome of m sequential runs of one solver on one
 // problem instance.
 type Campaign struct {
-	Problem    string    `json:"problem"`
-	Runs       int       `json:"runs"`
-	Seed       uint64    `json:"seed"`
-	Iterations []float64 `json:"iterations"` // per-run iteration counts
-	Seconds    []float64 `json:"seconds"`    // per-run wall-clock seconds
+	Problem    string
+	Runs       int
+	Seed       uint64
+	Iterations []float64 // per-run iteration counts
+	Seconds    []float64 // per-run wall-clock seconds
 }
 
 // Collect runs the Adaptive Search solver `runs` times on fresh
@@ -112,85 +107,4 @@ func (c *Campaign) IterationSummary() SummaryRow {
 func (c *Campaign) TimeSummary() SummaryRow {
 	s := stats.Summarize(c.Seconds)
 	return SummaryRow{Problem: c.Problem, Min: s.Min, Mean: s.Mean, Median: s.Median, Max: s.Max}
-}
-
-// WriteCSV emits one row per run: index, iterations, seconds.
-func (c *Campaign) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"run", "iterations", "seconds"}); err != nil {
-		return err
-	}
-	for i := range c.Iterations {
-		rec := []string{
-			strconv.Itoa(i),
-			strconv.FormatFloat(c.Iterations[i], 'g', -1, 64),
-			strconv.FormatFloat(c.Seconds[i], 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses the WriteCSV format; Problem/Seed metadata are not
-// stored in CSV and stay zero.
-func ReadCSV(r io.Reader) (*Campaign, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) < 2 {
-		return nil, errors.New("runtimes: CSV has no data rows")
-	}
-	c := &Campaign{Runs: len(records) - 1}
-	for _, rec := range records[1:] {
-		if len(rec) != 3 {
-			return nil, fmt.Errorf("runtimes: bad CSV row %v", rec)
-		}
-		it, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("runtimes: bad iterations %q", rec[1])
-		}
-		sec, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("runtimes: bad seconds %q", rec[2])
-		}
-		c.Iterations = append(c.Iterations, it)
-		c.Seconds = append(c.Seconds, sec)
-	}
-	return c, nil
-}
-
-// SaveJSON writes the full campaign (with metadata) to path.
-func (c *Campaign) SaveJSON(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(c); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadJSON reads a campaign written by SaveJSON.
-func LoadJSON(path string) (*Campaign, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var c Campaign
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, err
-	}
-	if len(c.Iterations) == 0 {
-		return nil, errors.New("runtimes: campaign has no observations")
-	}
-	return &c, nil
 }

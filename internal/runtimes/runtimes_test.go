@@ -1,9 +1,7 @@
 package runtimes
 
 import (
-	"bytes"
 	"context"
-	"path/filepath"
 	"testing"
 
 	"lasvegas/internal/adaptive"
@@ -86,67 +84,5 @@ func TestSummaries(t *testing.T) {
 	ts := c.TimeSummary()
 	if ts.Min != 0.1 || ts.Max != 1.0 {
 		t.Errorf("time summary %+v", ts)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	c := &Campaign{
-		Problem:    "rt",
-		Runs:       3,
-		Iterations: []float64{5, 15, 25},
-		Seconds:    []float64{0.5, 1.5, 2.5},
-	}
-	var buf bytes.Buffer
-	if err := c.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Runs != 3 {
-		t.Fatalf("runs %d", back.Runs)
-	}
-	for i := range c.Iterations {
-		if back.Iterations[i] != c.Iterations[i] || back.Seconds[i] != c.Seconds[i] {
-			t.Fatalf("row %d mismatch", i)
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("run,iterations,seconds\n")); err == nil {
-		t.Error("header-only CSV accepted")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("run,iterations,seconds\n0,abc,1\n")); err == nil {
-		t.Error("non-numeric iterations accepted")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "campaign.json")
-	c := &Campaign{
-		Problem:    "json-rt",
-		Runs:       2,
-		Seed:       77,
-		Iterations: []float64{3, 9},
-		Seconds:    []float64{0.3, 0.9},
-	}
-	if err := c.SaveJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Problem != "json-rt" || back.Seed != 77 || back.Iterations[1] != 9 {
-		t.Errorf("round trip lost data: %+v", back)
-	}
-}
-
-func TestLoadJSONErrors(t *testing.T) {
-	if _, err := LoadJSON(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file accepted")
 	}
 }

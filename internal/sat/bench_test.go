@@ -6,19 +6,6 @@ import (
 	"lasvegas/internal/xrand"
 )
 
-// BenchmarkRandomKSAT measures instance generation; the distinctness
-// scan replaced a per-clause map, so allocs/op is ~1 clause per
-// clause generated.
-func BenchmarkRandomKSAT(b *testing.B) {
-	r := xrand.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RandomKSAT(150, 600, 3, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWalkSATSolve measures one full WalkSAT solve of a planted
 // 3-SAT instance, solver construction excluded — the inner flip loop
 // must be allocation-free (only the returned model copy allocates).

@@ -1,12 +1,12 @@
 // Package sat implements a WalkSAT-style stochastic local search for
-// boolean satisfiability and a random k-SAT instance generator. The
-// paper's conclusion names SAT solvers as the next Las Vegas family
-// to which the prediction model should apply ("portfolio algorithms
-// in the SAT community", §1; "further research will consider … SAT
-// solvers", §8) — this package provides that workload: WalkSAT's
-// runtime on satisfiable random 3-SAT near the phase transition is a
-// heavy-tailed random variable, and the solver plugs directly into
-// the multiwalk engine and the fit→predict pipeline.
+// boolean satisfiability and a planted random k-SAT instance
+// generator. The paper's conclusion names SAT solvers as the next Las
+// Vegas family to which the prediction model should apply ("portfolio
+// algorithms in the SAT community", §1; "further research will
+// consider … SAT solvers", §8) — this package provides that workload:
+// WalkSAT's runtime on satisfiable random 3-SAT near the phase
+// transition is a heavy-tailed random variable, and the solver plugs
+// directly into the multiwalk engine and the fit→predict pipeline.
 package sat
 
 import (
@@ -81,26 +81,6 @@ func clauseSat(c Clause, assignment []bool) bool {
 	return false
 }
 
-// RandomKSAT draws a uniform random k-SAT formula with n variables
-// and m clauses (distinct variables within each clause, signs
-// uniform). With k=3 and m/n ≈ 4.26 instances sit at the
-// satisfiability phase transition; the generator enforces
-// satisfiability by planting nothing — use ratios ≤ 4.0 for mostly
-// satisfiable instances, or RandomPlantedKSAT for guaranteed ones.
-func RandomKSAT(n, m, k int, r *xrand.Rand) (*Formula, error) {
-	if n < k || k < 1 {
-		return nil, fmt.Errorf("sat: n=%d k=%d", n, k)
-	}
-	if m < 1 {
-		return nil, fmt.Errorf("sat: m=%d clauses", m)
-	}
-	f := &Formula{NumVars: n, Clauses: make([]Clause, m)}
-	for i := range f.Clauses {
-		f.Clauses[i] = randomClause(n, k, r, nil)
-	}
-	return f, nil
-}
-
 // RandomPlantedKSAT draws a random k-SAT formula that is satisfied by
 // a hidden planted assignment, guaranteeing satisfiability (so every
 // WalkSAT run terminates — the Las Vegas property the model needs).
@@ -122,9 +102,9 @@ func RandomPlantedKSAT(n, m, k int, r *xrand.Rand) (*Formula, []bool, error) {
 	return f, planted, nil
 }
 
-// randomClause draws k distinct variables with uniform signs; when
-// planted is non-nil the clause is redrawn until the planted
-// assignment satisfies it (rejection keeps the distribution close to
+// randomClause draws k distinct variables with uniform signs and
+// redraws the clause until the planted assignment satisfies it
+// (rejection keeps the distribution close to
 // uniform-conditioned-on-satisfiable). Distinctness is enforced by
 // scanning the clause under construction — k is tiny (3 for the phase
 // transition, ≤5 in practice), so the linear scan beats any set and
@@ -147,7 +127,7 @@ func randomClause(n, k int, r *xrand.Rand, planted []bool) Clause {
 				c = append(c, Literal(v))
 			}
 		}
-		if planted == nil || clauseSat(c, planted) {
+		if clauseSat(c, planted) {
 			return c
 		}
 	}

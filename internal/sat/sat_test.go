@@ -46,7 +46,7 @@ func TestEvalAndCount(t *testing.T) {
 
 func TestRandomKSATShape(t *testing.T) {
 	r := xrand.New(1)
-	f, err := RandomKSAT(50, 200, 3, r)
+	f, _, err := RandomPlantedKSAT(50, 200, 3, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +76,11 @@ func TestRandomKSATShape(t *testing.T) {
 
 func TestRandomKSATValidation(t *testing.T) {
 	r := xrand.New(2)
-	if _, err := RandomKSAT(2, 10, 3, r); err == nil {
+	if _, _, err := RandomPlantedKSAT(2, 10, 3, r); err == nil {
 		t.Error("n < k accepted")
 	}
-	if _, err := RandomKSAT(5, 0, 3, r); err == nil {
+	if _, _, err := RandomPlantedKSAT(5, 0, 3, r); err == nil {
 		t.Error("m = 0 accepted")
-	}
-	if _, _, err := RandomPlantedKSAT(2, 10, 3, r); err == nil {
-		t.Error("planted n < k accepted")
 	}
 }
 
@@ -162,12 +159,18 @@ func TestWalkSATBudget(t *testing.T) {
 }
 
 func TestWalkSATCancellation(t *testing.T) {
-	r := xrand.New(7)
-	// Unsatisfiable-ish overconstrained instance: ratio 6 random (not
-	// planted) — WalkSAT will churn forever, so cancellation must stop it.
-	f, err := RandomKSAT(60, 360, 3, r)
-	if err != nil {
-		t.Fatal(err)
+	// Every sign pattern over three variables: each assignment
+	// falsifies exactly one clause, so the formula is unsatisfiable and
+	// WalkSAT churns forever unless cancellation stops it.
+	f := &Formula{NumVars: 3}
+	for m := 0; m < 8; m++ {
+		c := Clause{1, 2, 3}
+		for i := range c {
+			if m>>i&1 == 1 {
+				c[i] = -c[i]
+			}
+		}
+		f.Clauses = append(f.Clauses, c)
 	}
 	s, err := NewSolver(f, Params{CheckEvery: 128})
 	if err != nil {

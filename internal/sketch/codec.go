@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"lasvegas/internal/jsonnum"
 )
 
 // sketchJSON is the canonical wire form: levels are written sorted,
@@ -273,7 +275,7 @@ func (p *wireParser) count() uint64 {
 		return 0
 	}
 	b := p.b[p.i:]
-	n := digitsEnd(b, 0)
+	n := jsonnum.DigitsEnd(b, 0)
 	if n == 0 || n > maxCountDigits || (b[0] == '0' && n > 1) {
 		p.ok = false
 		return 0
@@ -282,11 +284,6 @@ func (p *wireParser) count() uint64 {
 	return digitsValue(b[:n])
 }
 
-// maxExactDigits bounds the plain-digit tokens read by accumulation:
-// below 10^15 < 2^53 every integer is a float64, so float64 of the
-// accumulated value has the bits strconv.ParseFloat returns.
-const maxExactDigits = 15
-
 // float consumes a JSON number and returns the float64
 // strconv.ParseFloat reads from it, or fails — also on a number
 // ParseFloat rejects, whose error encoding/json reports.
@@ -294,28 +291,9 @@ func (p *wireParser) float() float64 {
 	if !p.ok {
 		return 0
 	}
-	b := p.b[p.i:]
-	// Read up to maxExactDigits+1 plain digits in one pass; one more
-	// digit than the bound sends the token to ParseFloat.
-	var u uint64
-	n := 0
-	for n < len(b) && n <= maxExactDigits && '0' <= b[n] && b[n] <= '9' {
-		u = u*10 + uint64(b[n]-'0')
-		n++
-	}
-	if n > 0 && n <= maxExactDigits && (b[0] != '0' || n == 1) &&
-		(n == len(b) || (b[n] != '.' && b[n] != 'e' && b[n] != 'E')) {
-		p.i += n
-		return float64(u)
-	}
-	n = numberLen(b)
-	if n == 0 {
-		p.ok = false
-		return 0
-	}
+	x, n := jsonnum.Parse(p.b[p.i:])
 	p.i += n
-	x, err := strconv.ParseFloat(string(b[:n]), 64)
-	p.ok = err == nil
+	p.ok = n > 0
 	return x
 }
 
@@ -326,49 +304,4 @@ func digitsValue(b []byte) uint64 {
 		u = u*10 + uint64(c-'0')
 	}
 	return u
-}
-
-// numberLen returns the length of the JSON number that starts b,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 when b does
-// not start with one.
-func numberLen(b []byte) int {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digitsEnd(b, i+1)
-	default:
-		return 0
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digitsEnd(b, i+1)
-		if j == i+1 {
-			return 0
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digitsEnd(b, i)
-		if j == i {
-			return 0
-		}
-		i = j
-	}
-	return i
-}
-
-// digitsEnd returns the index of the first non-digit in b at or after i.
-func digitsEnd(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }

@@ -1,7 +1,8 @@
 // Package specfn implements the special functions required by the
 // probability layer that the Go standard library does not provide:
-// the inverse error function, regularized incomplete gamma functions,
-// the regularized incomplete beta function and the digamma function.
+// the inverse error function and the standard normal quantile, the
+// regularized lower incomplete gamma function, and the digamma and
+// trigamma functions.
 //
 // All routines are classical series/continued-fraction evaluations
 // (Abramowitz & Stegun; Numerical Recipes) tuned for float64 and are
@@ -9,21 +10,7 @@
 // far tighter than anything the speed-up model needs.
 package specfn
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrDomain is returned (wrapped) by functions whose argument lies
-// outside the mathematical domain.
-var ErrDomain = errors.New("specfn: argument outside domain")
-
-// Erf is the error function (re-exported from math for a single
-// import surface inside the probability layer).
-func Erf(x float64) float64 { return math.Erf(x) }
-
-// Erfc is the complementary error function.
-func Erfc(x float64) float64 { return math.Erfc(x) }
+import "math"
 
 // ErfInv returns the inverse error function: y with Erf(y) = x,
 // for x in (-1, 1). It refines a rational initial estimate with two
@@ -111,24 +98,6 @@ func GammaP(a, x float64) float64 {
 	return 1 - gammaCF(a, x)
 }
 
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaQ(a, x float64) float64 {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 1
-	}
-	if math.IsInf(x, 1) {
-		return 0
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaCF(a, x)
-}
-
 const (
 	seriesEps  = 1e-15
 	maxIter    = 500
@@ -178,78 +147,6 @@ func gammaCF(a, x float64) float64 {
 		}
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// BetaInc returns the regularized incomplete beta function
-// I_x(a, b) for a, b > 0 and x in [0, 1].
-func BetaInc(a, b, x float64) float64 {
-	if a <= 0 || b <= 0 || x < 0 || x > 1 || math.IsNaN(x) {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x == 1 {
-		return 1
-	}
-	lbeta := lgammaSum(a, b)
-	front := math.Exp(a*math.Log(x) + b*math.Log(1-x) - lbeta)
-	// Use the continued fraction in its rapidly converging region.
-	if x < (a+1)/(a+b+2) {
-		return front * betaCF(a, b, x) / a
-	}
-	return 1 - front*betaCF(b, a, 1-x)/b
-}
-
-// lgammaSum returns log Beta(a,b) = lgamma(a)+lgamma(b)-lgamma(a+b).
-func lgammaSum(a, b float64) float64 {
-	la, _ := math.Lgamma(a)
-	lb, _ := math.Lgamma(b)
-	lab, _ := math.Lgamma(a + b)
-	return la + lb - lab
-}
-
-// betaCF is the Lentz continued fraction for the incomplete beta.
-func betaCF(a, b, x float64) float64 {
-	qab, qap, qam := a+b, a+1, a-1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < tinyFactor {
-		d = tinyFactor
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tinyFactor {
-			d = tinyFactor
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tinyFactor {
-			c = tinyFactor
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tinyFactor {
-			d = tinyFactor
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tinyFactor {
-			c = tinyFactor
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < seriesEps {
-			break
-		}
-	}
-	return h
 }
 
 // Digamma returns ψ(x), the logarithmic derivative of the gamma

@@ -103,25 +103,6 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[i] + frac*(sorted[i+1]-sorted[i])
 }
 
-// Skewness returns the adjusted Fisher–Pearson sample skewness.
-func Skewness(xs []float64) float64 {
-	n := float64(len(xs))
-	if n < 3 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var m2, m3 float64
-	for _, x := range xs {
-		d := x - m
-		m2 += d * d
-		m3 += d * d * d
-	}
-	m2 /= n
-	m3 /= n
-	g1 := m3 / math.Pow(m2, 1.5)
-	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
-}
-
 // Summary bundles the row shape of the paper's Tables 1 and 2.
 type Summary struct {
 	N      int

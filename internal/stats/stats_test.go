@@ -84,17 +84,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSkewness(t *testing.T) {
-	// Symmetric sample → skewness ≈ 0.
-	if sk := Skewness([]float64{-2, -1, 0, 1, 2}); math.Abs(sk) > 1e-12 {
-		t.Errorf("symmetric skewness %v", sk)
-	}
-	// Right-tailed sample → positive.
-	if sk := Skewness([]float64{1, 1, 1, 2, 2, 50}); sk <= 0 {
-		t.Errorf("right-tailed skewness %v", sk)
-	}
-}
-
 func TestHistogramDensityIntegratesToOne(t *testing.T) {
 	xs := []float64{1, 2, 2.5, 3, 3.7, 4, 4, 5, 8, 9.1}
 	h, err := NewHistogram(xs, 7)

@@ -104,17 +104,3 @@ func sortedObs(values []float64, censored []bool) ([]obs, int, error) {
 	})
 	return out, events, nil
 }
-
-// split returns the event values and censoring times of a sample —
-// the two sub-samples every likelihood below is built from.
-func split(values []float64, censored []bool) (events, cens []float64) {
-	events = make([]float64, 0, len(values))
-	for i, x := range values {
-		if censored[i] {
-			cens = append(cens, x)
-		} else {
-			events = append(events, x)
-		}
-	}
-	return events, cens
-}

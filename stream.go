@@ -7,7 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
+
+	"lasvegas/internal/jsonnum"
 )
 
 // StreamSchemaVersion is the NDJSON campaign-stream schema version:
@@ -231,95 +232,25 @@ func (f *recordFolder) decode(dec *json.Decoder) error {
 // WriteNDJSON writes it, {"iterations":N} or
 // {"iterations":N,"seconds":S}, with optional surrounding whitespace.
 // It reports false for any other line, and for a number ParseFloat
-// rejects, leaving those to the decoder. ParseFloat fails on a JSON
-// number only out of range, so seconds with no exponent and at most
-// 15 integer digits skip it.
+// rejects, leaving those to the decoder.
 func canonicalRecord(line []byte) (float64, bool) {
 	b, ok := bytes.CutPrefix(trimSpace(line), []byte(`{"iterations":`))
 	if !ok {
 		return 0, false
 	}
-	// A count of 1–15 plain digits is read as an integer in one scan.
-	var u uint64
-	n := 0
-	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
-		u = u*10 + uint64(b[n]-'0')
-		n++
+	x, n := jsonnum.Parse(b)
+	if n == 0 {
+		return 0, false
 	}
-	exact := n > 0 && n <= maxExactDigits && (b[0] != '0' || n == 1) &&
-		(n == len(b) || (b[n] != '.' && b[n] != 'e' && b[n] != 'E'))
-	if !exact {
-		if n, _, _ = numberLen(b); n == 0 {
-			return 0, false
-		}
-	}
-	it, b := b[:n], b[n:]
+	b = b[n:]
 	if s, ok := bytes.CutPrefix(b, []byte(`,"seconds":`)); ok {
-		m, digits, exp := numberLen(s)
+		m := jsonnum.Check(s)
 		if m == 0 {
 			return 0, false
 		}
-		if exp || digits > maxExactDigits {
-			if _, err := strconv.ParseFloat(string(s[:m]), 64); err != nil {
-				return 0, false
-			}
-		}
 		b = s[m:]
 	}
-	if string(b) != "}" {
-		return 0, false
-	}
-	if exact {
-		return float64(u), true
-	}
-	x, err := strconv.ParseFloat(string(it), 64)
-	return x, err == nil
-}
-
-// maxExactDigits bounds the plain-digit iteration counts read as
-// integers: below 10^15 < 2^53 every integer is a float64, so
-// float64(u) has the bits strconv.ParseFloat returns.
-const maxExactDigits = 15
-
-// numberLen returns the length n of the JSON number that starts b,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 when b does
-// not start with one, together with the number of digits before its
-// fraction and whether it has an exponent — what its one scan already
-// knows about the number's range.
-func numberLen(b []byte) (n, intDigits int, exp bool) {
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	start := i
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digitsEnd(b, i+1)
-	default:
-		return 0, 0, false
-	}
-	intDigits = i - start
-	if i < len(b) && b[i] == '.' {
-		j := digitsEnd(b, i+1)
-		if j == i+1 {
-			return 0, 0, false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digitsEnd(b, i)
-		if j == i {
-			return 0, 0, false
-		}
-		i, exp = j, true
-	}
-	return i, intDigits, exp
+	return x, string(b) == "}"
 }
 
 // trimSpace strips JSON whitespace from both ends of b.
@@ -335,14 +266,6 @@ func trimSpace(b []byte) []byte {
 
 // isSpace reports whether c is JSON whitespace.
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
-
-// digitsEnd returns the index of the first non-digit in b at or after i.
-func digitsEnd(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
 
 // errReader returns its error on every Read.
 type errReader struct{ err error }
