@@ -95,32 +95,22 @@ func (p *Predictor) Speedup(n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return p.SpeedupFor(ez), nil
+}
+
+// SpeedupFor returns G = E[Y]/ez for an E[Z(n)] = ez that
+// ParallelMean returned, so a caller that needs both E[Z(n)] and G(n)
+// evaluates E[Z(n)] once and gets Speedup(n) bit for bit.
+func (p *Predictor) SpeedupFor(ez float64) float64 {
 	if ez <= 0 {
-		// Happens only when the runtime law allows instantaneous
-		// success with positive probability and n is astronomically
-		// large; report infinite speed-up rather than dividing by 0.
-		return math.Inf(1), nil
+		// Happens when the runtime law allows instantaneous success
+		// with positive probability and n is astronomically large, or
+		// when a law with negative support (a gaussian fit) puts
+		// E[Z(n)] below zero; report infinite speed-up rather than
+		// dividing by 0 or returning a negative G.
+		return math.Inf(1)
 	}
-	return p.meanY / ez, nil
-}
-
-// Point is one (cores, value) pair of a prediction curve.
-type Point struct {
-	Cores   int
-	Speedup float64
-}
-
-// Curve evaluates the predicted speed-up at each core count.
-func (p *Predictor) Curve(cores []int) ([]Point, error) {
-	pts := make([]Point, len(cores))
-	for i, n := range cores {
-		g, err := p.Speedup(n)
-		if err != nil {
-			return nil, fmt.Errorf("core: curve at n=%d: %w", n, err)
-		}
-		pts[i] = Point{Cores: n, Speedup: g}
-	}
-	return pts, nil
+	return p.meanY / ez
 }
 
 // Limit returns lim_{n→∞} G(n). Since E[Z(n)] decreases to the
@@ -237,6 +227,3 @@ func (p *Predictor) CoresForSpeedup(target float64) (int, error) {
 	}
 	return hi, nil
 }
-
-// StandardCores is the core grid of the paper's Tables 3–5.
-var StandardCores = []int{16, 32, 64, 128, 256}

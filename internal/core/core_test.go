@@ -73,7 +73,7 @@ func TestPaperTable5Costas21(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range append(StandardCores, 512, 8192) {
+	for _, n := range []int{16, 32, 64, 128, 256, 512, 8192} {
 		g, err := p.Speedup(n)
 		if err != nil {
 			t.Fatal(err)
@@ -262,19 +262,6 @@ func TestCoresForSpeedup(t *testing.T) {
 	}
 }
 
-func TestCurve(t *testing.T) {
-	d, _ := dist.NewExponential(1)
-	p, _ := NewPredictor(d)
-	pts, err := p.Curve([]int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 3 || pts[2].Cores != 4 {
-		t.Fatalf("curve %+v", pts)
-	}
-	approx(t, pts[2].Speedup, 4, 1e-9, "linear curve point")
-}
-
 func TestPredictorRejectsInfiniteMean(t *testing.T) {
 	levy, _ := dist.NewLevy(0, 1)
 	if _, err := NewPredictor(levy); err == nil {
@@ -299,5 +286,43 @@ func TestPredictorRejectsBadCores(t *testing.T) {
 func TestNewEmpiricalValidation(t *testing.T) {
 	if _, err := NewEmpirical(nil); err == nil {
 		t.Error("empty sample accepted")
+	}
+}
+
+// TestSpeedupInfiniteWhenParallelMeanNotPositive reaches the E[Z(n)] ≤ 0
+// branch from both sides: a plug-in law with an atom at 0 whose
+// E[Z(n)] = 10·2⁻ⁿ underflows to exactly 0, and a gaussian fit whose
+// E[Z(n)] falls below 0 once the minimum of n draws leaves the
+// positive half-line. Both report +Inf, never a division by 0 or a
+// negative speed-up.
+func TestSpeedupInfiniteWhenParallelMeanNotPositive(t *testing.T) {
+	atom, err := NewEmpirical([]float64{0, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauss, _ := dist.NewNormal(1, 1)
+	normal, err := NewPredictor(gauss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *Predictor
+		n    int
+	}{{"atom at 0", atom, 2000}, {"gaussian", normal, 16}} {
+		ez, err := c.p.ParallelMean(c.n)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ez > 0 {
+			t.Fatalf("%s: E[Z(%d)] = %v, want ≤ 0", c.name, c.n, ez)
+		}
+		g, err := c.p.Speedup(c.n)
+		if err != nil || !math.IsInf(g, 1) {
+			t.Errorf("%s: G(%d) = %v, %v; want +Inf", c.name, c.n, g, err)
+		}
+		if got := c.p.SpeedupFor(ez); !math.IsInf(got, 1) {
+			t.Errorf("%s: SpeedupFor(%v) = %v, want +Inf", c.name, ez, got)
+		}
 	}
 }

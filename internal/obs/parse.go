@@ -86,19 +86,6 @@ func (s Samples) MaxLabeled(name, needle string) (float64, bool) {
 	return max, found
 }
 
-// SumFamily sums every series of family name (with or without
-// labels) — how a scraper totals a counter family across label sets.
-func (s Samples) SumFamily(name string) (float64, bool) {
-	sum, found := 0.0, false
-	for series, v := range s.series {
-		if series == name || strings.HasPrefix(series, name+"{") {
-			sum += v
-			found = true
-		}
-	}
-	return sum, found
-}
-
 // HasFamily reports whether family name was scraped: declared by a
 // # TYPE comment (every registered family is, series or not) or
 // present as a sample series.

@@ -303,40 +303,3 @@ func MeanMinTimeDomain(d dist.Dist, n int) (float64, error) {
 	}
 	return quad.TanhSinh(integrand, lo, hi, integTol)
 }
-
-// KthMoment returns E[X₍k:n₎ʳ], the r-th moment of the k-th order
-// statistic, via the Nadarajah quantile-domain formula
-//
-//	E[X₍k:n₎ʳ] = n·C(n-1, k-1)·∫₀¹ Q(u)ʳ·u^{k-1}·(1-u)^{n-k} du.
-//
-// The beta-weighted integrand is evaluated in log space.
-func KthMoment(d dist.Dist, k, n, r int) (float64, error) {
-	if n < 1 || k < 1 || k > n || r < 1 {
-		return 0, fmt.Errorf("%w: order statistic k=%d of n=%d, moment %d", dist.ErrParam, k, n, r)
-	}
-	if k == 1 && r == 1 {
-		return Moment(d, n, 1)
-	}
-	logC := logBinomial(n-1, k-1) + math.Log(float64(n))
-	kf, nf := float64(k), float64(n)
-	integrand := func(u float64) float64 {
-		if u <= 0 || u >= 1 {
-			return 0
-		}
-		q := d.Quantile(u)
-		w := math.Exp(logC + (kf-1)*math.Log(u) + (nf-kf)*math.Log1p(-u))
-		if r == 1 {
-			return q * w
-		}
-		return math.Pow(q, float64(r)) * w
-	}
-	return quad.Unit(integrand, integTol)
-}
-
-// logBinomial returns log C(n, k).
-func logBinomial(n, k int) float64 {
-	ln1, _ := math.Lgamma(float64(n + 1))
-	lk1, _ := math.Lgamma(float64(k + 1))
-	lnk1, _ := math.Lgamma(float64(n - k + 1))
-	return ln1 - lk1 - lnk1
-}

@@ -48,9 +48,6 @@ func TestDurerMagicSquare(t *testing.T) {
 	for i, v := range values {
 		sol[i] = v - 1 // configuration stores value-1
 	}
-	if p.Magic() != 34 {
-		t.Errorf("magic constant %d, want 34", p.Magic())
-	}
 	if c := p.Cost(sol); c != 0 {
 		t.Errorf("Dürer square has cost %d", c)
 	}

@@ -43,12 +43,6 @@ func New(n int) (*Problem, error) {
 // Size implements csp.Problem: N² variables.
 func (p *Problem) Size() int { return p.n * p.n }
 
-// Side returns N.
-func (p *Problem) Side() int { return p.n }
-
-// Magic returns the magic constant M.
-func (p *Problem) Magic() int { return p.magic }
-
 // Name implements csp.Problem.
 func (p *Problem) Name() string { return fmt.Sprintf("magic-square-%d", p.n) }
 

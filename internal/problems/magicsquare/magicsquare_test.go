@@ -15,8 +15,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Size() != 16 || p.Side() != 4 || p.Magic() != 34 {
-		t.Errorf("size=%d side=%d magic=%d", p.Size(), p.Side(), p.Magic())
+	if p.Size() != 16 || p.n != 4 || p.magic != 34 {
+		t.Errorf("size=%d side=%d magic=%d", p.Size(), p.n, p.magic)
 	}
 }
 
@@ -26,8 +26,8 @@ func TestMagicConstants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Magic() != c.m {
-			t.Errorf("N=%d magic %d, want %d", c.n, p.Magic(), c.m)
+		if p.magic != c.m {
+			t.Errorf("N=%d magic %d, want %d", c.n, p.magic, c.m)
 		}
 	}
 }

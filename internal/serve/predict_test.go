@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -108,5 +109,50 @@ func TestPredictGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("predict bodies drifted from golden\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+	}
+}
+
+// BenchmarkPredictHandler times one warm GET /v1/predict through
+// Handler().ServeHTTP in process, with read-mostly's query: the
+// paper's core grid, two quantiles and target=2. The fit is warmed
+// before the timer starts, so an op is the predict itself: E[Z(n)] per
+// core count, the quantiles, the capacity search and the render.
+// shifted-exp is the Costas fixture (closed forms); lognormal is the
+// fixed-seed lognormal campaign (tanh-sinh quadrature).
+func BenchmarkPredictHandler(b *testing.B) {
+	srv, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	for _, c := range predictCampaigns(b) {
+		if c.name == "costas13-censored" {
+			continue
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(c.body)))
+		var up campaignResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &up); err != nil || rec.Code != http.StatusOK {
+			b.Fatalf("%s: upload: status %d, %v", c.name, rec.Code, err)
+		}
+		req := httptest.NewRequest(http.MethodGet, "/v1/predict?id="+up.ID+predictGoldenQuery, nil)
+		name := map[string]string{"costas13": "shifted-exp", "lognormal": "lognormal"}[c.name]
+		b.Run(name, func(b *testing.B) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("warm predict: status %d, body %s", rec.Code, rec.Body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("predict: status %d", rec.Code)
+				}
+			}
+		})
 	}
 }

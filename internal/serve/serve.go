@@ -1146,20 +1146,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		for _, n := range cores {
-			g, err := model.Speedup(n)
-			if err != nil {
-				s.writeError(w, err)
-				return
+		pts, err := model.Curve(r.Context(), cores)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		resp.Speedups = make([]speedupResponse, len(pts))
+		for i, p := range pts {
+			resp.Speedups[i] = speedupResponse{
+				Cores: p.Cores, Speedup: p.Speedup, MinExpectation: p.MeanZ,
+				Efficiency: p.Speedup / float64(p.Cores),
 			}
-			z, err := model.MinExpectation(n)
-			if err != nil {
-				s.writeError(w, err)
-				return
-			}
-			resp.Speedups = append(resp.Speedups, speedupResponse{
-				Cores: n, Speedup: g, MinExpectation: z, Efficiency: g / float64(n),
-			})
 		}
 	}
 	if qsS := q.Get("quantile"); qsS != "" {

@@ -192,10 +192,3 @@ func Trigamma(x float64) float64 {
 	result += inv * (1 + inv/2 + inv2*(1.0/6-inv2*(1.0/30-inv2*(1.0/42-inv2/30))))
 	return result
 }
-
-// LogGamma returns log|Γ(x)| (thin wrapper over math.Lgamma that
-// discards the sign, which is always +1 for x > 0).
-func LogGamma(x float64) float64 {
-	lg, _ := math.Lgamma(x)
-	return lg
-}

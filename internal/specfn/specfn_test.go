@@ -146,6 +146,13 @@ func TestTrigammaKnownValues(t *testing.T) {
 	}
 }
 
+// LogGamma returns log|Γ(x)| (thin wrapper over math.Lgamma that
+// discards the sign, which is always +1 for x > 0).
+func LogGamma(x float64) float64 {
+	lg, _ := math.Lgamma(x)
+	return lg
+}
+
 func TestLogGammaMatchesStdlib(t *testing.T) {
 	for _, x := range []float64{0.1, 1, 2.5, 10, 100} {
 		lg, _ := math.Lgamma(x)

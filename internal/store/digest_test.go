@@ -98,7 +98,7 @@ func TestBuildRangeDigestDeterministic(t *testing.T) {
 
 	// Drop one id from b and the digests must diverge on exactly its
 	// range, with MissingIDs naming it.
-	victim, err := CampaignID(campaigns[0])
+	victim, _, err := Encode(campaigns[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestBuildRangeDigestSkipsUnmergeable(t *testing.T) {
 		Iterations: []float64{3, 5},
 		Censored:   []int{1},
 	}
-	id, err := CampaignID(censored)
+	id, _, err := Encode(censored)
 	if err != nil {
 		t.Fatal(err)
 	}

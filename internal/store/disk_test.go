@@ -55,7 +55,7 @@ func TestDiskReplay(t *testing.T) {
 	// The replayed campaign must hash back to the id it was stored
 	// under — the content-address round-trip the durability contract
 	// rests on.
-	id, err := CampaignID(got.Campaign)
+	id, _, err := Encode(got.Campaign)
 	if err != nil {
 		t.Fatal(err)
 	}

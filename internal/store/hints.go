@@ -274,13 +274,6 @@ func (h *Hints) Quarantined() bool {
 	return h.quarantined
 }
 
-// DepthFor reports the pending hints owed to one peer.
-func (h *Hints) DepthFor(peer int) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.pending[peer])
-}
-
 // Close releases the journal's log handle (a no-op for memory-only
 // journals). Pending hints stay in the log for the next OpenHints.
 func (h *Hints) Close() error {

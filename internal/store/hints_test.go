@@ -69,6 +69,13 @@ func TestOwnersCoverEveryReplica(t *testing.T) {
 	}
 }
 
+// DepthFor reports the pending hints owed to one peer.
+func (h *Hints) DepthFor(peer int) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.pending[peer])
+}
+
 func mustEnqueue(t *testing.T, h *Hints, peer int, id string, data string) {
 	t.Helper()
 	if err := h.Enqueue(peer, id, []byte(data)); err != nil {

@@ -91,21 +91,12 @@ type Stats struct {
 	ReplayDuration time.Duration
 }
 
-// CampaignID derives the deterministic content id of a campaign from
-// its canonical JSON encoding. SHA-256 (truncated to 128 bits), not a
-// cheap hash: stores dedup purely by id, so a constructible collision
-// would silently alias one client's campaign to another's cached
-// model.
-func CampaignID(c *lasvegas.Campaign) (string, error) {
-	id, _, err := Encode(c)
-	return id, err
-}
-
-// Encode returns a campaign's content id together with the canonical
-// bytes it was derived from — the exact bytes a Disk store persists
-// and a replica forwards. Callers that need both (the serve upload
-// path) should use this once rather than CampaignID + a second
-// marshal.
+// Encode returns a campaign's deterministic content id together with
+// the canonical JSON bytes it was derived from — the exact bytes a
+// Disk store persists and a replica forwards. The id is SHA-256
+// (truncated to 128 bits), not a cheap hash: stores dedup purely by
+// id, so a constructible collision would silently alias one client's
+// campaign to another's cached model.
 func Encode(c *lasvegas.Campaign) (id string, data []byte, err error) {
 	data, err = c.MarshalJSON()
 	if err != nil {

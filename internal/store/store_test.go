@@ -167,11 +167,11 @@ func TestEviction(t *testing.T) {
 
 // TestCampaignIDDeterminism: ids derive from content, not identity.
 func TestCampaignIDDeterminism(t *testing.T) {
-	a, err := CampaignID(testCampaign(t))
+	a, _, err := Encode(testCampaign(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CampaignID(testCampaign(t))
+	b, _, err := Encode(testCampaign(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestCampaignIDDeterminism(t *testing.T) {
 	}
 	other := testCampaign(t)
 	other.Iterations[0]++
-	c, err := CampaignID(other)
+	c, _, err := Encode(other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestOwnerPartition(t *testing.T) {
 			prevHi = hi
 		}
 		for seed := uint64(1); seed <= 64; seed++ {
-			id, err := CampaignID(mkCampaign(seed))
+			id, _, err := Encode(mkCampaign(seed))
 			if err != nil {
 				t.Fatal(err)
 			}

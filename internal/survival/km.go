@@ -35,8 +35,7 @@ import (
 // concurrent use.
 type KaplanMeier struct {
 	dist.Step
-	ev   int     // number of events (uncensored observations)
-	tail float64 // Ŝ at the largest observation before the Efron drop
+	ev int // number of events (uncensored observations)
 }
 
 // NewKaplanMeier estimates the product-limit law of a right-censored
@@ -93,23 +92,13 @@ func NewKaplanMeier(values []float64, censored []bool) (*KaplanMeier, error) {
 	}
 	// Efron tail: drop the curve to zero at the largest observation
 	// so the law is proper and every moment is finite.
-	tail := surv[m-1]
 	surv[m-1] = 0
 	cdf[m-1] = 1
-	return &KaplanMeier{Step: dist.NewStep(xs, cdf, surv, firstEvent, xs[m-1]), ev: events, tail: tail}, nil
+	return &KaplanMeier{Step: dist.NewStep(xs, cdf, surv, firstEvent, xs[m-1]), ev: events}, nil
 }
-
-// Events returns the number of uncensored observations.
-func (k *KaplanMeier) Events() int { return k.ev }
 
 // CensoredCount returns the number of censored observations.
 func (k *KaplanMeier) CensoredCount() int { return k.Len() - k.ev }
-
-// TailMass returns the survival probability left at the largest
-// observation before the Efron drop — the mass the estimator cannot
-// place from the data alone (0 when the largest observation is an
-// event).
-func (k *KaplanMeier) TailMass() float64 { return k.tail }
 
 // String implements dist.Dist.
 func (k *KaplanMeier) String() string {

@@ -110,8 +110,8 @@ func TestKMHandExample(t *testing.T) {
 			t.Errorf("CDF(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	if km.Events() != 3 || km.CensoredCount() != 2 {
-		t.Errorf("counts: events=%d censored=%d", km.Events(), km.CensoredCount())
+	if km.Len() != 5 || km.CensoredCount() != 2 {
+		t.Errorf("counts: observations=%d censored=%d", km.Len(), km.CensoredCount())
 	}
 	// Quantile is the left-continuous inverse: the smallest x with
 	// F̂(x) ≥ p, which is always an event time (or the terminal step).
@@ -153,8 +153,8 @@ func TestKMEfronTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := km.TailMass(); math.Abs(got-0.5) > 1e-15 {
-		t.Errorf("TailMass = %v, want 0.5", got)
+	if got := 1 - km.CDF(4.9); math.Abs(got-0.5) > 1e-15 {
+		t.Errorf("survival before the Efron point = %v, want 0.5", got)
 	}
 	if got := km.CDF(5); got != 1 {
 		t.Errorf("CDF at the Efron point = %v, want 1", got)

@@ -74,9 +74,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative 63-bit pseudo-random integer.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 // Lemire's multiply-shift rejection avoids modulo bias.
 func (r *Rand) Intn(n int) int {

@@ -5,9 +5,13 @@ package lasvegas_test
 import (
 	"context"
 	"errors"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"lasvegas"
+	"lasvegas/internal/xrand"
 )
 
 func collectCostas(t *testing.T, opts ...lasvegas.Option) (*lasvegas.Predictor, *lasvegas.Campaign) {
@@ -89,6 +93,120 @@ func TestPipelineCollectFitPredict(t *testing.T) {
 	cancel()
 	if _, err := m.Curve(cancelled, []int{2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled curve error = %v", err)
+	}
+}
+
+// drawCampaign is a complete campaign of runs iteration counts, each
+// the ceiling of one draw.
+func drawCampaign(name string, seed uint64, runs int, draw func(r *xrand.Rand) float64) *lasvegas.Campaign {
+	r := xrand.New(seed)
+	xs := make([]float64, runs)
+	for i := range xs {
+		xs[i] = math.Ceil(draw(r))
+	}
+	return &lasvegas.Campaign{Problem: name, Runs: runs, Seed: seed, Iterations: xs}
+}
+
+// fitFamily fits one family to c, whether or not its goodness-of-fit
+// test accepts it.
+func fitFamily(c *lasvegas.Campaign, f lasvegas.Family) (*lasvegas.Model, error) {
+	cands, err := lasvegas.New(lasvegas.WithFamilies(f)).FitAll(c)
+	if err != nil {
+		return nil, err
+	}
+	return cands[0].Model, cands[0].Err
+}
+
+// checkCurvePointwise asserts that every Curve point of m carries
+// Speedup(n) and MinExpectation(n) bit for bit, and that Curve fails
+// where a point does.
+func checkCurvePointwise(t testing.TB, m *lasvegas.Model, cores []int) {
+	t.Helper()
+	pts, curveErr := m.Curve(context.Background(), cores)
+	for i, n := range cores {
+		g, gErr := m.Speedup(n)
+		z, zErr := m.MinExpectation(n)
+		if (gErr == nil) != (zErr == nil) {
+			t.Fatalf("%s n=%d: Speedup error %v, MinExpectation error %v", m, n, gErr, zErr)
+		}
+		if zErr != nil {
+			if curveErr == nil {
+				t.Fatalf("%s n=%d: MinExpectation failed (%v) but Curve did not", m, n, zErr)
+			}
+			return
+		}
+		if curveErr != nil {
+			t.Fatalf("%s: Curve failed (%v) though every point to n=%d evaluates", m, curveErr, n)
+		}
+		p := pts[i]
+		if p.Cores != n || math.Float64bits(p.Speedup) != math.Float64bits(g) ||
+			math.Float64bits(p.MeanZ) != math.Float64bits(z) {
+			t.Fatalf("%s n=%d: Curve point %+v, want Speedup %v and MeanZ %v", m, n, p, g, z)
+		}
+	}
+	if curveErr != nil {
+		t.Fatalf("%s: Curve failed (%v) though every point evaluates", m, curveErr)
+	}
+}
+
+// TestCurveMatchesPointwise: Curve evaluates E[Z(n)] once per point,
+// and each point must still equal Speedup(n) and MinExpectation(n) bit
+// for bit, on every law a Model can carry: the closed forms, the
+// lognormal quadrature and its heavy-tailed normal-score fallback, the
+// plug-in step law, the sketch-backed law and both censored
+// estimators. The grid is 1…256 plus fig14's 8192.
+func TestCurveMatchesPointwise(t *testing.T) {
+	cores := make([]int, 0, 257)
+	for n := 1; n <= 256; n++ {
+		cores = append(cores, n)
+	}
+	cores = append(cores, 8192)
+
+	costas, err := lasvegas.LoadCampaign("testdata/campaign_costas13.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sketched, err := costas.Sketchify(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	censored := loadCensoredFixture(t)
+	cens := lasvegas.New(lasvegas.WithCensoredFit(true))
+	mustModel := func(m *lasvegas.Model, err error) *lasvegas.Model {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	heavy := mustModel(fitFamily(drawCampaign("heavy-lognormal", 3, 200, func(r *xrand.Rand) float64 {
+		return math.Exp(12 + 4.2*r.Norm())
+	}), lasvegas.LogNormal))
+	law := heavy.String()
+	sigma, err := strconv.ParseFloat(strings.TrimSuffix(law[strings.Index(law, "σ=")+len("σ="):], ")"), 64)
+	if err != nil || sigma < 3.8 || sigma > 4.6 {
+		t.Fatalf("heavy lognormal fit %s: want σ ≈ 4.2 (%v)", law, err)
+	}
+
+	for _, c := range []struct {
+		name string
+		m    *lasvegas.Model
+	}{
+		{"exponential", mustModel(fitFamily(drawCampaign("exp", 1, 200, func(r *xrand.Rand) float64 {
+			return 1000 * r.Exp()
+		}), lasvegas.Exponential))},
+		{"shifted-exponential", mustModel(fitFamily(costas, lasvegas.ShiftedExponential))},
+		{"lognormal", mustModel(fitFamily(drawCampaign("lognormal", 2, 200, func(r *xrand.Rand) float64 {
+			return math.Exp(7 + 0.85*r.Norm())
+		}), lasvegas.LogNormal))},
+		{"lognormal-heavy", heavy},
+		{"plug-in", mustModel(lasvegas.New().PlugIn(costas))},
+		{"sketch-fit", mustModel(lasvegas.New().Fit(sketched))},
+		{"sketch-plug-in", mustModel(lasvegas.New().PlugIn(sketched))},
+		{"censored-mle", mustModel(cens.Fit(censored))},
+		{"kaplan-meier", mustModel(cens.PlugIn(censored))},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkCurvePointwise(t, c.m, cores) })
 	}
 }
 

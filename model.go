@@ -182,22 +182,20 @@ func (m *Model) CoresForSpeedup(target float64) (int, error) {
 
 // Curve evaluates the predicted speed-up at each core count,
 // honouring ctx between quadrature evaluations (lognormal curves at
-// large n are the one genuinely slow prediction path).
+// large n are the one genuinely slow prediction path). Each point
+// costs one E[Z(n)] evaluation, and its Speedup and MeanZ equal
+// Speedup(n) and MinExpectation(n) bit for bit.
 func (m *Model) Curve(ctx context.Context, cores []int) ([]SpeedupPoint, error) {
 	pts := make([]SpeedupPoint, len(cores))
 	for i, n := range cores {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		g, err := m.pred.Speedup(n)
+		z, err := m.pred.ParallelMean(n)
 		if err != nil {
 			return nil, fmt.Errorf("lasvegas: curve at n=%d: %w", n, err)
 		}
-		z, err := m.pred.ParallelMean(n)
-		if err != nil {
-			return nil, err
-		}
-		pts[i] = SpeedupPoint{Cores: n, Speedup: g, MeanZ: z}
+		pts[i] = SpeedupPoint{Cores: n, Speedup: m.pred.SpeedupFor(z), MeanZ: z}
 	}
 	return pts, nil
 }
