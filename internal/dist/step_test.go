@@ -81,3 +81,72 @@ func FuzzStep(f *testing.F) {
 		}
 	})
 }
+
+// TestMinExpectationExactEnumeration checks the plug-in predictor's
+// one-pass E[Z(n)] against its definition: for tiny m and n, the mean
+// of min over all mⁿ equally likely tuples of the (expanded) sample.
+// Integer weights are enumerated as that many copies of the atom.
+func TestMinExpectationExactEnumeration(t *testing.T) {
+	cases := []struct {
+		name   string
+		xs, ws []float64 // ws nil: unit weights
+	}{
+		{name: "distinct", xs: []float64{1, 2.5, 4, 9}},
+		{name: "ties", xs: []float64{2, 2, 3, 3, 3, 10}},
+		{name: "one atom", xs: []float64{5}},
+		{name: "weights", xs: []float64{1.5, 3, 7}, ws: []float64{2, 1, 3}},
+		{name: "weights and ties", xs: []float64{0.5, 4, 4, 6}, ws: []float64{1, 2, 1, 1}},
+	}
+	for _, c := range cases {
+		var st *dist.Step
+		samples := c.xs // the multiset the tuples draw from
+		if c.ws == nil {
+			e, err := dist.NewEmpirical(c.xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = e
+		} else {
+			samples = nil
+			cum := make([]float64, len(c.xs))
+			var run float64
+			for i, w := range c.ws {
+				run += w
+				cum[i] = run
+				for range int(w) {
+					samples = append(samples, c.xs[i])
+				}
+			}
+			s := dist.NewStep(c.xs, cum, nil, c.xs[0], c.xs[len(c.xs)-1])
+			st = &s
+		}
+		m := len(samples)
+		for n := 1; n <= 4; n++ {
+			// Walk every tuple as a base-m counter over sample indices.
+			idx := make([]int, n)
+			var sum float64
+			tuples := 0
+			for {
+				z := math.Inf(1)
+				for _, i := range idx {
+					z = math.Min(z, samples[i])
+				}
+				sum += z
+				tuples++
+				k := 0
+				for k < n && idx[k] == m-1 {
+					idx[k] = 0
+					k++
+				}
+				if k == n {
+					break
+				}
+				idx[k]++
+			}
+			want := sum / float64(tuples)
+			if got := st.MinExpectation(n); math.Abs(got-want) > 1e-12*want {
+				t.Errorf("%s: MinExpectation(%d) = %.17g, mean over %d tuples %.17g", c.name, n, got, tuples, want)
+			}
+		}
+	}
+}

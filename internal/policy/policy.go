@@ -44,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"lasvegas/internal/dist"
@@ -189,29 +190,47 @@ const (
 // sequence only ever visits log-many distinct values, so the series
 // costs O(runs) lookups plus O(log) truncated means.
 func lubyExpected(d dist.Dist, u float64) (float64, error) {
-	type memo struct{ tm, fc float64 }
-	cache := make(map[int64]memo, 24)
+	type memo struct {
+		tm, fc float64
+		ok     bool
+	}
+	var cache [64]memo // by log2 of the term
 	survival := 1.0
 	var total float64
+	w := newLubyWalk()
 	for i := 1; i <= lubyMaxRuns; i++ {
-		term := lubyTerm(i)
-		m, ok := cache[term]
-		if !ok {
-			c := u * float64(term)
+		m := &cache[bits.TrailingZeros64(uint64(w.term))]
+		if !m.ok {
+			c := u * float64(w.term)
 			tm, err := truncMean(d, c)
 			if err != nil {
 				return 0, err
 			}
-			m = memo{tm: tm, fc: d.CDF(c)}
-			cache[term] = m
+			*m = memo{tm: tm, fc: d.CDF(c), ok: true}
 		}
 		total += survival * m.tm
 		survival *= 1 - m.fc
 		if survival < lubySurvivalEps {
 			return total, nil
 		}
+		w.next()
 	}
 	return 0, fmt.Errorf("policy: luby series did not converge in %d runs (unit %g below the law's support?)", lubyMaxRuns, u)
+}
+
+// lubyWalk steps through the Luby sequence by Knuth's reluctant
+// doubling: term is lubyTerm(i) at the i-th step, in O(1) per step.
+type lubyWalk struct{ a, term int64 }
+
+func newLubyWalk() lubyWalk { return lubyWalk{a: 1, term: 1} }
+
+func (w *lubyWalk) next() {
+	if w.a&-w.a == w.term {
+		w.a++
+		w.term = 1
+	} else {
+		w.term *= 2
+	}
 }
 
 // lubyTerm returns the i-th term (1-based) of the Luby universal
@@ -233,13 +252,13 @@ func lubyTerm(i int) int64 {
 	}
 }
 
-// optimalGrid caps the number of quantile atoms scanned when locating
-// the optimal cutoff of a step law.
+// optimalGrid caps the number of atoms scanned when locating the
+// optimal cutoff of a step law.
 const optimalGrid = 512
 
 // Optimal finds the best fixed-cutoff policy under d. Step laws —
 // recognizable by their exact TruncatedMean — get an exact scan over
-// quantile atoms, where the optimum of a piecewise-linear-over-step
+// their atoms, where the optimum of a piecewise-linear-over-step
 // objective must sit; smooth laws get a Brent search on a log cutoff
 // axis. Either way, a win of less than a ppb over running to
 // completion is numerical noise, and the result is Cutoff = +Inf
@@ -294,13 +313,27 @@ func optimalSmooth(d dist.Dist, meanY float64) (c, e float64, err error) {
 	return c, e, err
 }
 
-// optimalStep scans the step law's quantile atoms for the cheapest
-// fixed cutoff; (+Inf, E[Y]) when none beats running to completion.
+// optimalStep scans the step law's atoms for the cheapest fixed
+// cutoff — every atom when the law has at most optimalGrid of them,
+// else optimalGrid quantile atoms — and returns (+Inf, E[Y]) when none
+// beats running to completion. On unit weights with at most
+// optimalGrid atoms the quantile grid visits every atom too, in the
+// same order; on weights it would skip an atom lighter than one grid
+// step.
 func optimalStep(d dist.Dist, meanY float64) (bestC, bestE float64, err error) {
+	n := optimalGrid
+	cutoff := func(i int) float64 { return d.Quantile(float64(i+1) / float64(optimalGrid+1)) }
+	if sl, ok := d.(interface{ StepLaw() *dist.Step }); ok {
+		if st := sl.StepLaw(); st != nil && st.Len() <= optimalGrid {
+			atoms := st.Sorted()
+			n = len(atoms)
+			cutoff = func(i int) float64 { return atoms[i] }
+		}
+	}
 	bestC, bestE = math.Inf(1), meanY
 	prev := math.NaN()
-	for i := 1; i <= optimalGrid; i++ {
-		c := d.Quantile(float64(i) / float64(optimalGrid+1))
+	for i := range n {
+		c := cutoff(i)
 		if c == prev || !(c > 0) {
 			continue
 		}

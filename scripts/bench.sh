@@ -28,7 +28,7 @@
 # ns/op: on a shared machine interference only adds time, and one
 # slow stretch in a single run moved a gated ratio by a third between
 # runs of unchanged code (BENCH_9's first recording caught the
-# NDJSON decoder at 24 ms against a usual 13–16). Two ablations are
+# NDJSON decoder at 24 ms against a usual 13–16). Three ablations are
 # timed again in a second pass, five rounds of alternating
 # invocations, and the fastest of the five replaces the first pass's
 # line:
@@ -39,7 +39,11 @@
 # - BenchmarkAblationIncrementalCost at 16x: solve i uses seed i % 16,
 #   so the 3–7 full-recompute ops a time-based benchtime runs average
 #   a different set of seeds on a slower or faster machine, while 16
-#   average the whole cycle.
+#   average the whole cycle;
+# - BenchmarkAblationQuantileVsTimeDomain, each side for 0.5 s in its
+#   own invocation: the first pass's three-run minima of unchanged
+#   code read its ratio 12.2 against a recorded 16.5, because host
+#   load reached the two sides unequally.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -54,6 +58,8 @@ second_pass() {
         go test -run='^$' -bench='^BenchmarkAblationMinResampling$/^inverse-cdf$' -benchtime=1s "$@" .
         go test -run='^$' -bench='^BenchmarkAblationMinResampling$/^brute-min-of-n$' -benchtime=20x "$@" .
         go test -run='^$' -bench='^BenchmarkAblationIncrementalCost$' -benchtime=16x "$@" .
+        go test -run='^$' -bench='^BenchmarkAblationQuantileVsTimeDomain$/^quantile-domain$' -benchtime=0.5s "$@" .
+        go test -run='^$' -bench='^BenchmarkAblationQuantileVsTimeDomain$/^time-domain$' -benchtime=0.5s "$@" .
     done
 }
 
