@@ -185,10 +185,15 @@ func (p *Predictor) Efficiency(n int) (float64, error) {
 }
 
 // CoresForSpeedup returns the smallest n with G(n) >= target, or an
-// error if the target exceeds the limit G(∞). It exploits the
-// monotonicity of G (doubling search + bisection), giving capacity
-// planners the inverse question: "how many cores to go k× faster?".
+// error if the target exceeds the limit G(∞) or is NaN or +Inf (no
+// core count reaches those, so the search would only run out at its
+// 2^24 cap). It exploits the monotonicity of G (doubling search +
+// bisection), giving capacity planners the inverse question: "how
+// many cores to go k× faster?".
 func (p *Predictor) CoresForSpeedup(target float64) (int, error) {
+	if math.IsNaN(target) || math.IsInf(target, 1) {
+		return 0, fmt.Errorf("core: target speed-up %v is not a finite number", target)
+	}
 	if target <= 1 {
 		return 1, nil
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -259,6 +260,26 @@ func TestCoresForSpeedup(t *testing.T) {
 	// Trivial target.
 	if n, _ := p.CoresForSpeedup(1); n != 1 {
 		t.Error("target 1 should need 1 core")
+	}
+}
+
+// TestCoresForSpeedupNonFiniteTarget: NaN and +Inf targets fail up
+// front, on a law with a finite limit and on one whose limit is
+// infinite, where no limit check can catch +Inf.
+func TestCoresForSpeedupNonFiniteTarget(t *testing.T) {
+	shifted, _ := dist.NewShiftedExponential(1217, 9.15956e-6)
+	linear, _ := dist.NewExponential(5.4e-9)
+	for _, d := range []dist.Dist{shifted, linear} {
+		p, err := NewPredictor(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, target := range []float64{math.NaN(), math.Inf(1)} {
+			_, err := p.CoresForSpeedup(target)
+			if err == nil || !strings.Contains(err.Error(), "not a finite number") {
+				t.Errorf("%v: CoresForSpeedup(%v) = %v, want a non-finite target error", d, target, err)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -56,69 +55,47 @@ func finitePtr(v float64) *float64 {
 // for a stored campaign, each row priced in closed form under the
 // fitted law and validated by a seeded replay plus a bootstrap CI on
 // the campaign's own plug-in law. Owner-routed like every read; the
-// rendered body caches on the entry (single-flight), so one campaign
-// costs one table per replica — and the fit it builds on flows
-// through the same cross-process single-flight /v1/fit uses.
+// rendered body caches in the entry's PolicyView cell, so one
+// campaign costs one table per replica.
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		s.writeError(w, errors.New("serve: policy: missing id parameter"))
+	e, _ := s.ownedRead(w, r, "policy", r.URL.Query().Get("id"), nil)
+	if e == nil {
 		return
 	}
-	owners := store.Owners(id, s.replicas, s.repl)
-	if !ownedBy(owners, s.self) {
-		s.forwardRead(w, r, owners, nil)
-		return
-	}
-	e, err := s.getOrRepair(r.Context(), id, owners)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := s.quorumRead(r.Context(), e, owners); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	v, computed, err := e.Policy(func() (any, error) {
-		return s.computePolicy(r.Context(), e)
+	v, computed, err := e.PolicyView.Do(func() (store.Rendered, error) {
+		return s.policyView(r.Context(), e)
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		s.met.policyComputes.With("error").Inc()
-		s.writeError(w, err)
-		return
-	}
-	if computed {
+	case computed:
 		s.met.policyComputes.With("computed").Inc()
-	} else {
+	default:
 		s.met.policyComputes.With("cached").Inc()
 	}
-	body := v.([]byte)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	s.writeView(w, v, err)
 }
 
-// computePolicy renders the policy table body for an entry. Like
-// predict, the table is computed where the model lives (models do not
-// round-trip the wire); the fit underneath is single-flight per
-// process and shared across replicas, and the rendered bytes cache on
-// the entry, so the marginal cost of the table itself is paid once.
-// The replay and bootstrap claim a gate slot — they are the same
-// order of work as a fit and must not stampede past the worker bound.
-func (s *Server) computePolicy(ctx context.Context, e *store.Entry) ([]byte, error) {
-	_, model, err := s.fit(ctx, e)
+// policyView renders the policy table body for an entry, the compute
+// of its PolicyView cell. Like predict, the table is computed where
+// the model lives (models do not round-trip the wire), on the entry's
+// local fit. The replay and bootstrap claim a gate slot of their own —
+// they are the same order of work as a fit and must not stampede past
+// the worker bound.
+func (s *Server) policyView(ctx context.Context, e *store.Entry) (store.Rendered, error) {
+	cands, err := s.fit(ctx, e)
 	if err != nil && !errors.Is(err, lasvegas.ErrNoAcceptableFit) {
-		return nil, err
+		return store.Rendered{}, err
 	}
 	if err := s.gate.Acquire(ctx); err != nil {
-		return nil, err
+		return store.Rendered{}, err
 	}
 	defer s.gate.Release()
-	// model == nil (no family accepted) makes PolicyTable fall back
-	// to the plug-in law internally.
-	table, err := s.pred.PolicyTable(ctx, e.Campaign, model)
+	// best(nil) == nil (no family accepted) makes PolicyTable fall
+	// back to the plug-in law internally.
+	table, err := s.pred.PolicyTable(ctx, e.Campaign, best(cands))
 	if err != nil {
-		return nil, err
+		return store.Rendered{}, err
 	}
 	resp := policyResponse{
 		ID:        e.ID,
@@ -153,9 +130,5 @@ func (s *Server) computePolicy(ctx context.Context, e *store.Entry) ([]byte, err
 		}
 		resp.Policies = append(resp.Policies, rr)
 	}
-	buf, err := json.MarshalIndent(resp, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, '\n'), nil
+	return renderJSON(http.StatusOK, resp), nil
 }

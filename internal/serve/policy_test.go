@@ -5,8 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lasvegas"
@@ -219,4 +223,80 @@ func mustFixture(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// cancelAfter is a context that reports cancellation from its
+// (after+1)-th Err call on, so a test can cancel a request at a fixed
+// point of its work: PolicyTable checks ctx before each row task.
+type cancelAfter struct {
+	context.Context
+	after int32
+	calls atomic.Int32
+	once  sync.Once
+	done  chan struct{}
+}
+
+func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfter) Err() error {
+	if c.calls.Add(1) <= c.after {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+// TestPolicyCancelledMidTable: a /v1/policy whose client goes away
+// after the table's first row task must answer 499 and cache nothing,
+// so the next request computes the table (policy_computes: 1 error, 1
+// computed) and gets the golden bytes.
+func TestPolicyCancelledMidTable(t *testing.T) {
+	srv, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	serve := func(req *http.Request) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	rec := serve(httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(mustFixture(t))))
+	var up campaignResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &up); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("upload: status %d, %v", rec.Code, err)
+	}
+	// Fit first, so the policy request's only context checks are the
+	// table's own.
+	if rec := serve(httptest.NewRequest(http.MethodPost, "/v1/fit", strings.NewReader(`{"id":"`+up.ID+`"}`))); rec.Code != http.StatusOK {
+		t.Fatalf("fit: status %d, body %s", rec.Code, rec.Body)
+	}
+
+	ctx := &cancelAfter{Context: context.Background(), after: 1, done: make(chan struct{})}
+	rec = serve(httptest.NewRequest(http.MethodGet, "/v1/policy?id="+up.ID, nil).WithContext(ctx))
+	if rec.Code != 499 {
+		t.Fatalf("cancelled policy: status %d, body %s, want 499", rec.Code, rec.Body)
+	}
+	if n := ctx.calls.Load(); n < 2 {
+		t.Fatalf("the table checked its context %d times, want the cancellation to land mid-table", n)
+	}
+
+	rec = serve(httptest.NewRequest(http.MethodGet, "/v1/policy?id="+up.ID, nil))
+	want, err := os.ReadFile(policyGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("policy after a cancelled one: status %d, body %s", rec.Code, rec.Body)
+	}
+	scrape, err := obs.ParseText(bytes.NewReader(serve(httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)).Body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for event, want := range map[string]float64{"error": 1, "computed": 1, "cached": 0} {
+		if v, _ := scrape.Get(`lvserve_policy_computes_total{event="` + event + `"}`); v != want {
+			t.Errorf("policy_computes{%s} = %v, want %v", event, v, want)
+		}
+	}
 }

@@ -34,6 +34,23 @@
 //	                     replica and shard range, snapshot-log replay
 //	                     counters
 //
+// # Reads
+//
+// The three campaign reads (/v1/fit, /v1/predict and /v1/policy)
+// share one preamble, ownedRead: the id is routed through
+// store.Owners, a replica that does not own it forwards the request to
+// the first live owner, and an owner answers from its local entry
+// after read-repair and the read quorum. What a read derives from a
+// campaign caches on the entry in once-cells of one type, store.Cell:
+// the local fit (Entry.Fit, which /v1/predict reads on every request)
+// and one rendered body per cached view (Entry.FitView and
+// Entry.PolicyView), which /v1/fit and /v1/policy answer from through
+// one writer. A cell runs one compute at a time and caches every
+// outcome but a cancellation. It never holds a worker-gate slot; each
+// compute claims its own, because the policy view's compute runs the
+// fit's, and a cell that held a slot across it would deadlock a
+// one-slot gate.
+//
 // # Durability
 //
 // The campaign store behind the daemon is an internal/store.Store.
@@ -121,7 +138,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -270,9 +286,6 @@ type Server struct {
 	aeDone     chan struct{} // closed when the exchanger exits
 	aeRounds   atomic.Int64  // completed digest-exchange rounds
 	aePulled   atomic.Int64  // campaigns pulled by anti-entropy
-
-	fitProbe   sync.Mutex // guards fitProbing
-	fitProbing map[string]*fitShareCall
 }
 
 // New returns a Server with cfg applied over the defaults. The error
@@ -417,20 +430,19 @@ func New(cfg Config) (*Server, error) {
 		hints = store.NewHints()
 	}
 	s := &Server{
-		cfg:        cfg,
-		pred:       lasvegas.New(opts...),
-		store:      st,
-		gate:       store.NewGate(workers),
-		replicas:   replicas,
-		self:       cfg.ReplicaIndex,
-		repl:       repl,
-		peerc:      newPeerClient(peers, met, logger),
-		hints:      hints,
-		writeQ:     writeQ,
-		readQ:      readQ,
-		logger:     logger,
-		met:        met,
-		fitProbing: make(map[string]*fitShareCall),
+		cfg:      cfg,
+		pred:     lasvegas.New(opts...),
+		store:    st,
+		gate:     store.NewGate(workers),
+		replicas: replicas,
+		self:     cfg.ReplicaIndex,
+		repl:     repl,
+		peerc:    newPeerClient(peers, met, logger),
+		hints:    hints,
+		writeQ:   writeQ,
+		readQ:    readQ,
+		logger:   logger,
+		met:      met,
 	}
 	s.registerGauges()
 	if replicas > 1 {
@@ -1040,55 +1052,42 @@ func (s *Server) collect(ctx context.Context, body []byte) (*lasvegas.Campaign, 
 	return p.Collect(ctx, lasvegas.Problem(cr.Problem), cr.Size)
 }
 
-// handleFit fits the stored campaign (single-flight) and returns the
-// ranked candidate table plus the best accepted model.
+// handleFit answers POST /v1/fit from the entry's FitView cell: the
+// ranked candidate table plus the best accepted model, rendered once
+// per owner and shared across owners (see fitshare.go).
 func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		s.writeError(w, fmt.Errorf("serve: fit request: %w", err))
+		return
+	}
 	var req struct {
 		ID string `json:"id"`
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
-	if err != nil || req.ID == "" {
+	if json.Unmarshal(body, &req) != nil || req.ID == "" {
 		s.writeError(w, errors.New(`serve: fit request: want {"id": "<campaign id>"}`))
 		return
 	}
-	owners := store.Owners(req.ID, s.replicas, s.repl)
-	if !ownedBy(owners, s.self) {
-		s.forwardRead(w, r, owners, body)
+	e, owners := s.ownedRead(w, r, "fit", req.ID, body)
+	if e == nil {
 		return
 	}
-	e, err := s.getOrRepair(r.Context(), req.ID, owners)
-	if err != nil {
-		s.writeError(w, err)
-		return
+	share := len(owners) > 1 && r.Header.Get(fitDelegateHeader) == ""
+	v, computed, err := e.FitView.Do(func() (store.Rendered, error) {
+		return s.fitView(r.Context(), e, owners, share)
+	})
+	if share && !computed && v.Adopted {
+		s.met.fitShare.With("adopted").Inc()
 	}
-	if err := s.quorumRead(r.Context(), e, owners); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	// Before burning a fit, see whether another owner already has one
-	// to adopt (or whether the primary owner should be the only
-	// replica computing it).
-	if a := s.sharedFit(r.Context(), r.Header, e, owners); a != nil {
-		a.write(w)
-		return
-	}
-	cands, best, err := s.fit(r.Context(), e)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.writeFitResponse(w, e, cands, best)
+	s.writeView(w, v, err)
 }
 
-// writeFitResponse renders a fit outcome exactly as POST /v1/fit
+// renderFit renders a fit's candidate table exactly as POST /v1/fit
 // answers it. The internal fit-cache endpoint shares this renderer,
 // which is what makes an adopted peer response byte-identical to a
 // locally computed one.
-func (s *Server) writeFitResponse(w http.ResponseWriter, e *store.Entry, cands []lasvegas.Candidate, best *lasvegas.Model) {
-	resp := fitResponse{ID: e.ID, Problem: e.Campaign.Problem, Best: best}
+func (s *Server) renderFit(e *store.Entry, cands []lasvegas.Candidate) store.Rendered {
+	resp := fitResponse{ID: e.ID, Problem: e.Campaign.Problem, Best: best(cands)}
 	for _, c := range cands {
 		cr := candidateResponse{Family: c.Family, Law: c.Law}
 		if c.Err != nil {
@@ -1102,43 +1101,26 @@ func (s *Server) writeFitResponse(w http.ResponseWriter, e *store.Entry, cands [
 		}
 		resp.Candidates = append(resp.Candidates, cr)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return renderJSON(http.StatusOK, resp)
 }
 
 // handlePredict answers speed-up, min-expectation, quantile and
 // cores-for-speedup queries against the cached model, fitting it on
-// first use.
+// first use. Predict needs the Model itself, and models don't
+// round-trip the wire, so it always fits locally — at most once per
+// owner, through the entry's Fit cell.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	id := q.Get("id")
-	if id == "" {
-		s.writeError(w, errors.New("serve: predict: missing id parameter"))
+	e, _ := s.ownedRead(w, r, "predict", q.Get("id"), nil)
+	if e == nil {
 		return
 	}
-	owners := store.Owners(id, s.replicas, s.repl)
-	if !ownedBy(owners, s.self) {
-		s.forwardRead(w, r, owners, nil)
-		return
-	}
-	e, err := s.getOrRepair(r.Context(), id, owners)
+	cands, err := s.fit(r.Context(), e)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if err := s.quorumRead(r.Context(), e, owners); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	// Predict needs the Model itself (its queries are computed here,
-	// not rendered elsewhere), and models don't round-trip the wire —
-	// so predict always fits locally. The fit is still single-flight
-	// per process, and a /v1/fit on the same id adopts across
-	// replicas, so the fleet burns at most one fit per owner.
-	_, model, err := s.fit(r.Context(), e)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+	model := best(cands)
 	resp := predictResponse{ID: e.ID, Problem: e.Campaign.Problem, Model: model}
 	if coresS := q.Get("cores"); coresS != "" {
 		cores, err := lasvegas.ParseCores(coresS)
@@ -1245,27 +1227,69 @@ func (s *Server) handleInternalCampaign(w http.ResponseWriter, r *http.Request) 
 
 // --- plumbing -----------------------------------------------------
 
-// fit runs the entry's single-flight fit on the shared worker gate.
-func (s *Server) fit(ctx context.Context, e *store.Entry) ([]lasvegas.Candidate, *lasvegas.Model, error) {
-	return e.Fit(ctx, s.gate, func(c *lasvegas.Campaign) ([]lasvegas.Candidate, *lasvegas.Model, error) {
-		return fitCampaign(s.pred, c)
-	})
+// ownedRead is the preamble of every campaign read (fit, predict,
+// policy): it routes id through store.Owners and, on a replica that
+// does not own it, forwards the request (with body) to the first live
+// owner. On an owner it returns the local entry after read-repair and
+// the read quorum, with the id's owners. A nil entry means w has been
+// answered.
+func (s *Server) ownedRead(w http.ResponseWriter, r *http.Request, route, id string, body []byte) (*store.Entry, []int) {
+	if id == "" {
+		s.writeError(w, fmt.Errorf("serve: %s: missing id parameter", route))
+		return nil, nil
+	}
+	owners := store.Owners(id, s.replicas, s.repl)
+	if !ownedBy(owners, s.self) {
+		s.forwardRead(w, r, owners, body)
+		return nil, nil
+	}
+	e, err := s.getOrRepair(r.Context(), id, owners)
+	if err == nil {
+		err = s.quorumRead(r.Context(), e, owners)
+	}
+	if err != nil {
+		s.writeError(w, err)
+		return nil, nil
+	}
+	return e, owners
 }
 
-// fitCampaign fits every candidate family once and selects the best
-// accepted model — Predictor.Fit's selection rule without fitting the
-// sample twice.
-func fitCampaign(pred *lasvegas.Predictor, c *lasvegas.Campaign) ([]lasvegas.Candidate, *lasvegas.Model, error) {
+// fit returns the entry's local fit, the compute of its Fit cell: the
+// ranked candidate table, of which best is the model. The compute
+// claims a slot on the shared worker gate.
+func (s *Server) fit(ctx context.Context, e *store.Entry) ([]lasvegas.Candidate, error) {
+	cands, _, err := e.Fit.Do(func() ([]lasvegas.Candidate, error) {
+		if err := s.gate.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer s.gate.Release()
+		return fitCampaign(s.pred, e.Campaign)
+	})
+	return cands, err
+}
+
+// fitCampaign fits every candidate family once and fails with
+// ErrNoAcceptableFit when no family is accepted — Predictor.Fit's
+// selection rule without fitting the sample twice.
+func fitCampaign(pred *lasvegas.Predictor, c *lasvegas.Campaign) ([]lasvegas.Candidate, error) {
 	cands, err := pred.FitAll(c)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for _, cand := range cands {
-		if cand.Err == nil && cand.Model != nil && cand.Model.Accepted() {
-			return cands, cand.Model, nil
+	if best(cands) == nil {
+		return nil, fmt.Errorf("%w (%d candidate families)", lasvegas.ErrNoAcceptableFit, len(cands))
+	}
+	return cands, nil
+}
+
+// best is the model of the first accepted candidate, or nil.
+func best(cands []lasvegas.Candidate) *lasvegas.Model {
+	for _, c := range cands {
+		if c.Err == nil && c.Model != nil && c.Model.Accepted() {
+			return c.Model
 		}
 	}
-	return nil, nil, fmt.Errorf("%w (%d candidate families)", lasvegas.ErrNoAcceptableFit, len(cands))
+	return nil
 }
 
 // forwardHeader marks a request already routed once between replicas;
@@ -1541,12 +1565,27 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // writeJSON renders v indented and deterministic (struct fields only,
 // no maps), so fixed campaigns yield byte-stable responses.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	buf, err := json.MarshalIndent(v, "", "  ")
+	s.writeView(w, renderJSON(status, v), nil)
+}
+
+// writeView is the one writer of a JSON response: a rendered one, or
+// err — one a view cell cached, or a cancellation it did not.
+func (s *Server) writeView(w http.ResponseWriter, v store.Rendered, err error) {
 	if err != nil {
-		http.Error(w, `{"error":"serve: encoding response"}`, http.StatusInternalServerError)
+		s.writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
+	w.WriteHeader(v.Status)
+	w.Write(v.Body)
+}
+
+// renderJSON renders v as writeJSON sends it. A value JSON cannot
+// carry (a non-finite number) renders as a 500.
+func renderJSON(status int, v any) store.Rendered {
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return store.Rendered{Status: http.StatusInternalServerError, Body: []byte(`{"error":"serve: encoding response"}` + "\n")}
+	}
+	return store.Rendered{Status: status, Body: append(buf, '\n')}
 }

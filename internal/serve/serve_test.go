@@ -334,6 +334,10 @@ func TestErrorMapping(t *testing.T) {
 			tiny := newConfigServer(t, Config{MaxBodyBytes: 64})
 			return post(t, tiny, "/v1/campaigns", uniformJSON)
 		}, http.StatusRequestEntityTooLarge},
+		{"oversized fit body 413", func() (int, []byte) {
+			tiny := newConfigServer(t, Config{MaxBodyBytes: 64})
+			return post(t, tiny, "/v1/fit", []byte(`{"id":"`+strings.Repeat("c", 100)+`"}`))
+		}, http.StatusRequestEntityTooLarge},
 		{"oversized stream 413", func() (int, []byte) {
 			tiny := newConfigServer(t, Config{MaxStreamBytes: 64})
 			stream := []byte(`{"stream":1,"problem":"x"}` + "\n" +
@@ -389,6 +393,12 @@ func TestErrorMapping(t *testing.T) {
 		{"predict quantile NaN 400", func() (int, []byte) {
 			id := uploadFixture(t, ts)
 			return get(t, ts, "/v1/predict?id="+id+"&quantile=NaN")
+		}, http.StatusBadRequest},
+		{"predict target NaN 400", func() (int, []byte) {
+			// Rejected up front: no core count reaches a NaN speed-up,
+			// so the capacity search would run to its 2^24-core cap.
+			id := uploadFixture(t, ts)
+			return get(t, ts, "/v1/predict?id="+id+"&target=NaN")
 		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

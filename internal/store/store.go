@@ -4,10 +4,14 @@
 // the asset worth keeping) into something a service can own.
 //
 // A Store holds campaigns keyed by the content hash of their
-// canonical JSON and hands out *Entry values that carry a
-// single-flight fit cache, so every campaign is fitted at most once
-// per process no matter how many requests race for it. Two
-// implementations share the interface:
+// canonical JSON and hands out *Entry values. An entry caches what is
+// derived from its campaign in once-cells of one type, Cell: the
+// local fit, and the rendered /v1/fit and /v1/policy bodies. A cell
+// runs one compute at a time, caches every outcome but a
+// cancellation, can be peeked without blocking, and never holds a
+// Gate slot, so every campaign is fitted at most once per process no
+// matter how many requests race for it. Two implementations share the
+// interface:
 //
 //   - Memory — the process-local cache PR 3 shipped: a FIFO-bounded
 //     map, gone on exit.
@@ -153,15 +157,7 @@ func Owner(id string, replicas int) int {
 // function is pure, so every replica computes the same list without
 // coordination.
 func Owners(id string, replicas, k int) []int {
-	if replicas < 1 {
-		replicas = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > replicas {
-		k = replicas
-	}
+	replicas, k = clamp(replicas, k)
 	owners := make([]int, k)
 	first := Owner(id, replicas)
 	for i := range owners {
@@ -175,15 +171,7 @@ func Owners(id string, replicas, k int) []int {
 // ring walk as Owners, but keyed by range rather than by id, so the
 // anti-entropy exchanger knows which peers to compare a range with.
 func RangeOwners(r, replicas, k int) []int {
-	if replicas < 1 {
-		replicas = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > replicas {
-		k = replicas
-	}
+	replicas, k = clamp(replicas, k)
 	owners := make([]int, k)
 	for i := range owners {
 		owners[i] = (r + i) % replicas
@@ -196,21 +184,20 @@ func RangeOwners(r, replicas, k int) []int {
 // preceding it around the ring (the inverse of RangeOwners),
 // ascending. These are exactly the ranges self must keep converged.
 func OwnedRanges(self, replicas, k int) []int {
-	if replicas < 1 {
-		replicas = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > replicas {
-		k = replicas
-	}
+	replicas, k = clamp(replicas, k)
 	ranges := make([]int, k)
 	for i := range ranges {
 		ranges[i] = ((self-i)%replicas + replicas) % replicas
 	}
 	sort.Ints(ranges)
 	return ranges
+}
+
+// clamp bounds a group shape: at least one replica, and k in
+// [1, replicas].
+func clamp(replicas, k int) (int, int) {
+	replicas = max(replicas, 1)
+	return replicas, min(max(k, 1), replicas)
 }
 
 // ShardRange returns the half-open [lo, hi] bounds of the hash range
@@ -235,13 +222,10 @@ func rangeWidth(replicas int) uint64 {
 	return ^uint64(0)/uint64(replicas) + 1
 }
 
-// --- entries and the single-flight fit cache ----------------------
+// --- entries and their once-cells ---------------------------------
 
-// FitFunc computes a campaign's ranked candidate table and best
-// accepted model. The store caches its outcome per entry.
-type FitFunc func(c *lasvegas.Campaign) ([]lasvegas.Candidate, *lasvegas.Model, error)
-
-// Entry is one stored campaign and its lazily-computed fit.
+// Entry is one stored campaign and the outcomes cached on it. The
+// cells ride the entry, so they evict with the campaign.
 type Entry struct {
 	// ID is the campaign's content id.
 	ID string
@@ -249,134 +233,83 @@ type Entry struct {
 	// it would silently divorce the entry from its content id.
 	Campaign *lasvegas.Campaign
 
-	fit    fitCell
-	policy policyCell
-
-	// adopted caches an opaque serve-layer value (a peer's rendered
-	// fit response) adopted instead of computing locally; it rides the
-	// entry so it evicts with the campaign.
-	adopted atomic.Value
+	// Fit is this process's own fit of the campaign: the ranked
+	// candidate table, or the fit's deterministic error
+	// (lasvegas.ErrCensored, ErrNoAcceptableFit).
+	Fit Cell[[]lasvegas.Candidate]
+	// FitView and PolicyView are the rendered /v1/fit and /v1/policy
+	// bodies.
+	FitView, PolicyView Cell[Rendered]
 }
 
-// FitOutcome is a completed fit's cached result, as reported by
-// CachedFit. Exactly one of (Model, Err) describes the outcome: a
-// deterministic fit error (ErrCensored, ErrNoAcceptableFit) is itself
-// a cacheable outcome.
-type FitOutcome struct {
-	Candidates []lasvegas.Candidate
-	Model      *lasvegas.Model
-	Err        error
-}
-
-// CachedFit reports the entry's fit outcome without triggering or
-// waiting for a computation: ok is false while no fit has completed,
-// including while one is in flight. The serve layer answers peer
-// fit-cache probes from this, so a probe can never be the thing that
-// makes a replica burn a fit.
-func (e *Entry) CachedFit() (out FitOutcome, ok bool) {
-	return e.fit.peek()
-}
-
-// AdoptFit attaches an opaque non-nil value (the serve layer stores a
-// peer's rendered fit response) to the entry. Adoption is
-// last-writer-wins; fits being deterministic, every writer stores
-// equivalent bytes.
-func (e *Entry) AdoptFit(v any) { e.adopted.Store(v) }
-
-// AdoptedFit returns the value stored by AdoptFit, or nil.
-func (e *Entry) AdoptedFit() any { return e.adopted.Load() }
-
-// Fit returns the entry's fit, computing it at most once
-// (single-flight): concurrent callers for one campaign block on the
-// same cell and all receive the identical cached outcome — including
-// a cached fit error (ErrCensored, ErrNoAcceptableFit), which is
-// deterministic for the campaign. The computation claims a slot on
-// gate first; ctx bounds only that wait, and a caller cancelled while
-// waiting does not poison the entry — the next caller simply retries.
-func (e *Entry) Fit(ctx context.Context, gate Gate, fn FitFunc) ([]lasvegas.Candidate, *lasvegas.Model, error) {
-	return e.fit.do(ctx, gate, e.Campaign, fn)
-}
-
-// fitCell is the single-flight once-cell behind Entry.Fit, kept
-// unexported so implementations can hand out entries without exposing
-// the cache fields.
-type fitCell struct {
-	mu     sync.Mutex // serializes the single-flight fit
-	done   bool
-	cands  []lasvegas.Candidate
-	model  *lasvegas.Model
-	fitErr error
+// Rendered is a response as a view cell caches it.
+type Rendered struct {
+	Status int
+	Body   []byte
+	// Adopted marks a body a peer replica rendered from its own fit.
+	Adopted bool
 }
 
 func newEntry(id string, c *lasvegas.Campaign) *Entry {
 	return &Entry{ID: id, Campaign: c}
 }
 
-func (f *fitCell) do(ctx context.Context, gate Gate, c *lasvegas.Campaign, fn FitFunc) ([]lasvegas.Candidate, *lasvegas.Model, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.done {
-		if err := gate.Acquire(ctx); err != nil {
-			return nil, nil, err
-		}
-		f.cands, f.model, f.fitErr = fn(c)
-		gate.Release()
-		f.done = true
-	}
-	if f.fitErr != nil {
-		return nil, nil, f.fitErr
-	}
-	return f.cands, f.model, nil
+// Cell is a single-flight once-cell, the one cache behind every
+// outcome an Entry holds. Its rules:
+//
+//   - one compute per cell at a time: concurrent callers wait for the
+//     compute in flight and share its outcome;
+//   - every outcome is cached, errors included (the computes are
+//     deterministic per campaign), except context.Canceled and
+//     context.DeadlineExceeded: a caller that gave up must not poison
+//     the cell, so the next caller computes again;
+//   - Peek never blocks and never computes;
+//   - the cell never holds a Gate slot; a compute that needs one
+//     claims its own. A compute may run another cell's (the policy
+//     view runs the fit), and a cell that held a slot across it would
+//     deadlock a one-slot gate.
+//
+// The zero value is an empty cell.
+type Cell[T any] struct {
+	mu  sync.Mutex                 // held by the compute in flight
+	out atomic.Pointer[outcome[T]] // set once an outcome is cached
 }
 
-// peek reports the cell's outcome if (and only if) a fit has
-// completed. TryLock rather than Lock: a cell mid-computation is
-// "nothing cached yet", not something worth blocking on.
-func (f *fitCell) peek() (FitOutcome, bool) {
-	if !f.mu.TryLock() {
-		return FitOutcome{}, false
-	}
-	defer f.mu.Unlock()
-	if !f.done {
-		return FitOutcome{}, false
-	}
-	return FitOutcome{Candidates: f.cands, Model: f.model, Err: f.fitErr}, true
+type outcome[T any] struct {
+	v   T
+	err error
 }
 
-// Policy returns the entry's restart-policy value, computing it at
-// most once via fn (single-flight, same discipline as Fit): policy
-// tables are deterministic per campaign, so both values and errors
-// cache — except cancellations, which must not poison the cell for
-// the next caller. computed reports whether this call ran fn (false:
-// served from cache), which the serve layer turns into a
-// computed-vs-cached metric. fn is responsible for its own gating;
-// the cell cannot hold a Gate slot itself because fn's fit step
-// acquires one, and nesting would deadlock a single-slot gate.
-func (e *Entry) Policy(fn func() (any, error)) (v any, computed bool, err error) {
-	e.policy.mu.Lock()
-	defer e.policy.mu.Unlock()
-	if e.policy.done {
-		return e.policy.v, false, e.policy.err
+// Do returns the cell's cached outcome, or runs fn to produce it.
+// computed reports whether this call ran fn. fn runs under the cell's
+// lock, so it must not call Do on the same cell.
+func (c *Cell[T]) Do(fn func() (T, error)) (v T, computed bool, err error) {
+	if o := c.out.Load(); o != nil {
+		return o.v, false, o.err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if o := c.out.Load(); o != nil {
+		return o.v, false, o.err
 	}
 	v, err = fn()
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return nil, true, err
+	if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		c.out.Store(&outcome[T]{v, err})
 	}
-	e.policy.v, e.policy.err = v, err
-	e.policy.done = true
 	return v, true, err
 }
 
-// policyCell is the once-cell behind Entry.Policy.
-type policyCell struct {
-	mu   sync.Mutex
-	done bool
-	v    any
-	err  error
+// Peek returns the cached outcome; done is false while there is none,
+// including while a compute is in flight.
+func (c *Cell[T]) Peek() (v T, done bool, err error) {
+	if o := c.out.Load(); o != nil {
+		return o.v, true, o.err
+	}
+	return v, false, nil
 }
 
-// Gate bounds how many fit (and, in lvserve, collect) jobs run at
-// once: a counting semaphore whose Acquire honours ctx while waiting.
+// Gate bounds how many fit, policy and collect jobs run at once: a
+// counting semaphore whose Acquire honours ctx while waiting.
 type Gate chan struct{}
 
 // NewGate returns a gate admitting up to slots concurrent holders

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lasvegas"
 )
@@ -23,54 +25,66 @@ func testCampaign(t *testing.T) *lasvegas.Campaign {
 	return c
 }
 
-// testFit is the fit function the serve layer installs: FitAll plus
-// best-accepted selection.
-func testFit(pred *lasvegas.Predictor) FitFunc {
-	return func(c *lasvegas.Campaign) ([]lasvegas.Candidate, *lasvegas.Model, error) {
+// testFit is the compute the serve layer runs in Entry.Fit: FitAll on
+// a slot of gate, failing with ErrNoAcceptableFit when no family is
+// accepted.
+func testFit(ctx context.Context, gate Gate, pred *lasvegas.Predictor, c *lasvegas.Campaign) func() ([]lasvegas.Candidate, error) {
+	return func() ([]lasvegas.Candidate, error) {
+		if err := gate.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer gate.Release()
 		cands, err := pred.FitAll(c)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, cand := range cands {
 			if cand.Err == nil && cand.Model != nil && cand.Model.Accepted() {
-				return cands, cand.Model, nil
+				return cands, nil
 			}
 		}
-		return nil, nil, lasvegas.ErrNoAcceptableFit
+		return nil, lasvegas.ErrNoAcceptableFit
 	}
 }
 
 // TestSingleFlightFit hammers one entry from many goroutines and
-// requires every caller to receive the identical *Model — the proof
-// that the fit ran once. The race detector (CI's race job covers this
-// package) guards the locking.
+// requires exactly one of them to compute and every caller to receive
+// the identical candidate table. The race detector (CI's race job
+// covers this package) guards the locking.
 func TestSingleFlightFit(t *testing.T) {
 	s := NewMemory(16)
 	gate := NewGate(2)
-	fit := testFit(lasvegas.New())
+	pred := lasvegas.New()
 	e, err := s.Add(testCampaign(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const callers = 32
-	models := make([]*lasvegas.Model, callers)
+	tables := make([][]lasvegas.Candidate, callers)
+	var computes atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, m, err := e.Fit(context.Background(), gate, fit)
+			cands, computed, err := e.Fit.Do(testFit(context.Background(), gate, pred, e.Campaign))
 			if err != nil {
 				t.Errorf("fit %d: %v", i, err)
 				return
 			}
-			models[i] = m
+			if computed {
+				computes.Add(1)
+			}
+			tables[i] = cands
 		}(i)
 	}
 	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("%d callers computed the fit, want 1", n)
+	}
 	for i := 1; i < callers; i++ {
-		if models[i] != models[0] {
-			t.Fatalf("caller %d received a different model instance — fit ran more than once", i)
+		if &tables[i][0] != &tables[0][0] {
+			t.Fatalf("caller %d received a different candidate table — fit ran more than once", i)
 		}
 	}
 }
@@ -81,7 +95,6 @@ func TestSingleFlightFit(t *testing.T) {
 func TestFitErrorCached(t *testing.T) {
 	s := NewMemory(16)
 	gate := NewGate(1)
-	fit := testFit(lasvegas.New())
 	c := &lasvegas.Campaign{
 		Problem:    "x",
 		Runs:       3,
@@ -93,14 +106,18 @@ func TestFitErrorCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fit := testFit(context.Background(), gate, lasvegas.New(), c)
 	for i := 0; i < 2; i++ {
-		_, _, err := e.Fit(context.Background(), gate, fit)
+		_, computed, err := e.Fit.Do(fit)
 		if !errors.Is(err, lasvegas.ErrCensored) {
 			t.Fatalf("fit %d: %v, want ErrCensored", i, err)
 		}
+		if computed != (i == 0) {
+			t.Errorf("fit %d: computed = %v", i, computed)
+		}
 	}
-	if !e.fit.done {
-		t.Error("fit error was not cached")
+	if _, done, err := e.Fit.Peek(); !done || !errors.Is(err, lasvegas.ErrCensored) {
+		t.Errorf("fit error was not cached: done %v, err %v", done, err)
 	}
 }
 
@@ -110,7 +127,7 @@ func TestFitErrorCached(t *testing.T) {
 func TestCancelledWaiterDoesNotPoison(t *testing.T) {
 	s := NewMemory(16)
 	gate := NewGate(1)
-	fit := testFit(lasvegas.New())
+	pred := lasvegas.New()
 	e, err := s.Add(testCampaign(t))
 	if err != nil {
 		t.Fatal(err)
@@ -118,12 +135,76 @@ func TestCancelledWaiterDoesNotPoison(t *testing.T) {
 	gate <- struct{}{} // occupy the only slot
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.Fit(ctx, gate, fit); !errors.Is(err, context.Canceled) {
+	if _, _, err := e.Fit.Do(testFit(ctx, gate, pred, e.Campaign)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("fit with dead ctx: %v, want context.Canceled", err)
 	}
+	if _, done, _ := e.Fit.Peek(); done {
+		t.Fatal("a cancelled fit was cached")
+	}
 	<-gate // free the slot
-	if _, m, err := e.Fit(context.Background(), gate, fit); err != nil || m == nil {
-		t.Fatalf("fit after cancelled waiter: %v (model %v), want success", err, m)
+	if cands, _, err := e.Fit.Do(testFit(context.Background(), gate, pred, e.Campaign)); err != nil || cands == nil {
+		t.Fatalf("fit after cancelled waiter: %v (candidates %v), want success", err, cands)
+	}
+}
+
+// TestCellPeekNeverBlocks: a peek during a compute in flight reports
+// nothing cached rather than waiting, and sees the outcome afterwards.
+func TestCellPeekNeverBlocks(t *testing.T) {
+	var c Cell[int]
+	started, release := make(chan struct{}), make(chan struct{})
+	go c.Do(func() (int, error) {
+		close(started)
+		<-release
+		return 7, nil
+	})
+	<-started
+	if _, done, _ := c.Peek(); done {
+		t.Fatal("peek reported an outcome while the compute was in flight")
+	}
+	close(release)
+	if v, computed, err := c.Do(func() (int, error) { return 0, errors.New("second compute") }); v != 7 || computed || err != nil {
+		t.Fatalf("Do after the compute = %v, %v, %v; want the cached 7", v, computed, err)
+	}
+	if v, done, err := c.Peek(); v != 7 || !done || err != nil {
+		t.Fatalf("Peek = %v, %v, %v; want the cached 7", v, done, err)
+	}
+}
+
+// TestCellNestedComputeOneSlotGate: a compute that runs another cell's
+// compute, each claiming its own slot, completes on a one-slot gate —
+// the policy view over the fit. A cell that held a slot across its
+// compute would deadlock here.
+func TestCellNestedComputeOneSlotGate(t *testing.T) {
+	gate := NewGate(1)
+	ctx := context.Background()
+	var fit, view Cell[int]
+	slot := func(fn func() (int, error)) func() (int, error) {
+		return func() (int, error) {
+			if err := gate.Acquire(ctx); err != nil {
+				return 0, err
+			}
+			defer gate.Release()
+			return fn()
+		}
+	}
+	done := make(chan int)
+	go func() {
+		v, _, _ := view.Do(func() (int, error) {
+			m, _, err := fit.Do(slot(func() (int, error) { return 20, nil }))
+			if err != nil {
+				return 0, err
+			}
+			return slot(func() (int, error) { return m + 1, nil })()
+		})
+		done <- v
+	}()
+	select {
+	case v := <-done:
+		if v != 21 {
+			t.Fatalf("nested compute = %d, want 21", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("nested computes deadlocked on a one-slot gate")
 	}
 }
 
