@@ -9,13 +9,10 @@ import (
 	"math"
 	"testing"
 
-	"lasvegas/internal/adaptive"
+	"lasvegas"
 	"lasvegas/internal/core"
-	"lasvegas/internal/csp"
 	"lasvegas/internal/fit"
 	"lasvegas/internal/multiwalk"
-	"lasvegas/internal/problems"
-	"lasvegas/internal/runtimes"
 )
 
 // TestPipelineQueens runs the full paper pipeline on a cheap workload
@@ -26,8 +23,8 @@ func TestPipelineQueens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test skipped in -short")
 	}
-	factory := func() (csp.Problem, error) { return problems.New(problems.Queens, 24) }
-	campaign, err := runtimes.Collect(context.Background(), factory, adaptive.Params{}, 150, 3, 0)
+	campaign, err := lasvegas.New(lasvegas.WithRuns(150), lasvegas.WithSeed(3)).
+		Collect(context.Background(), lasvegas.Queens, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +74,8 @@ func TestPipelinePredictionBeforeMeasurement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test skipped in -short")
 	}
-	factory := func() (csp.Problem, error) { return problems.New(problems.Costas, 9) }
-	campaign, err := runtimes.Collect(context.Background(), factory, adaptive.Params{}, 200, 5, 0)
+	campaign, err := lasvegas.New(lasvegas.WithRuns(200), lasvegas.WithSeed(5)).
+		Collect(context.Background(), lasvegas.Costas, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

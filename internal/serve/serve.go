@@ -999,22 +999,17 @@ func (s *Server) mergeByIDs(ctx context.Context, ids []string) (*lasvegas.Campai
 }
 
 // resolveCampaign finds one campaign by id: the local store first,
-// then — read-only — each peer owner on the id's preference list.
+// then — read-only — the id's other owners (peekOwners).
 func (s *Server) resolveCampaign(ctx context.Context, id string) (*lasvegas.Campaign, error) {
 	e, err := s.store.Get(id)
 	if err == nil {
 		return e.Campaign, nil
 	}
-	if s.replicas < 2 || !errors.Is(err, store.ErrUnknownCampaign) {
+	if !errors.Is(err, store.ErrUnknownCampaign) {
 		return nil, err
 	}
-	for _, o := range store.Owners(id, s.replicas, s.repl) {
-		if o == s.self {
-			continue
-		}
-		if c, _ := s.peekPeer(ctx, o, id); c != nil {
-			return c, nil
-		}
+	if c, _ := s.peekOwners(ctx, id); c != nil {
+		return c, nil
 	}
 	return nil, err
 }
@@ -1243,7 +1238,7 @@ func (s *Server) ownedRead(w http.ResponseWriter, r *http.Request, route, id str
 		s.forwardRead(w, r, owners, body)
 		return nil, nil
 	}
-	e, err := s.getOrRepair(r.Context(), id, owners)
+	e, err := s.getOrRepair(r.Context(), id)
 	if err == nil {
 		err = s.quorumRead(r.Context(), e, owners)
 	}
@@ -1371,20 +1366,33 @@ func (s *Server) forwardToOwners(w http.ResponseWriter, r *http.Request, owners 
 // read-repairs from the other owners on the preference list: ids are
 // content hashes, so divergence can only be absence and repair is a
 // verified re-send, stored through the normal (fsync'd) add path.
-func (s *Server) getOrRepair(ctx context.Context, id string, owners []int) (*store.Entry, error) {
+func (s *Server) getOrRepair(ctx context.Context, id string) (*store.Entry, error) {
 	e, err := s.store.Get(id)
-	if err == nil || s.repl < 2 || !errors.Is(err, store.ErrUnknownCampaign) {
+	if err == nil || !errors.Is(err, store.ErrUnknownCampaign) {
 		return e, err
 	}
-	for _, o := range owners {
-		if o == s.self {
-			continue
-		}
-		if e := s.fetchFromPeer(ctx, o, id); e != nil {
+	if c, canonical := s.peekOwners(ctx, id); c != nil {
+		if e, addErr := s.store.AddEncoded(id, canonical, c); addErr == nil {
 			return e, nil
 		}
 	}
 	return nil, err
+}
+
+// peekOwners is the one owner walk of a read: it peeks the id's other
+// owners in preference order and returns the first verified copy,
+// or nil when none has it. On a single replica, or at k = 1 on the
+// owner itself, there is no other owner to ask.
+func (s *Server) peekOwners(ctx context.Context, id string) (*lasvegas.Campaign, []byte) {
+	for _, o := range store.Owners(id, s.replicas, s.repl) {
+		if o == s.self {
+			continue
+		}
+		if c, canonical := s.peekPeer(ctx, o, id); c != nil {
+			return c, canonical
+		}
+	}
+	return nil, nil
 }
 
 // fetchFromPeer retrieves one campaign's canonical bytes from a peer
@@ -1404,8 +1412,8 @@ func (s *Server) fetchFromPeer(ctx context.Context, peer int, id string) *store.
 }
 
 // peekPeer retrieves and verifies one campaign from a peer without
-// storing it — the read-only fetch behind merge-by-id, and the first
-// half of read-repair. Any failure returns nil.
+// storing it — the fetch behind peekOwners, anti-entropy's
+// fetchFromPeer and the quorum checks. Any failure returns nil.
 func (s *Server) peekPeer(ctx context.Context, peer int, id string) (*lasvegas.Campaign, []byte) {
 	resp, err := s.peerc.do(ctx, peer, s.cfg.PeerTimeout, "GET",
 		"/v1/internal/campaign?id="+url.QueryEscape(id), nil, nil)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -327,6 +328,22 @@ func TestErrorMapping(t *testing.T) {
 		{"unknown collect problem 404", func() (int, []byte) {
 			return post(t, ts, "/v1/campaigns", []byte(`{"collect":{"problem":"sudoku"}}`))
 		}, http.StatusNotFound},
+		{"cancelled collect 499", func() (int, []byte) {
+			// The context ends at its first check, inside the first
+			// run's solver, so the answer rests on the collector
+			// returning the context's error.
+			srv, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ctx := &cancelAfter{Context: context.Background(), done: make(chan struct{})}
+			req := httptest.NewRequest(http.MethodPost, "/v1/campaigns",
+				strings.NewReader(`{"collect":{"problem":"costas","size":10,"runs":20}}`)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			return rec.Code, rec.Body.Bytes()
+		}, 499},
 		{"merge mismatch 409", func() (int, []byte) {
 			return post(t, ts, "/v1/campaigns", mismatched)
 		}, http.StatusConflict},

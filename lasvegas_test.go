@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"lasvegas"
 	"lasvegas/internal/xrand"
@@ -220,6 +221,55 @@ func TestCollectDeterministic(t *testing.T) {
 	}
 }
 
+func TestCollectBasics(t *testing.T) {
+	p := lasvegas.New(lasvegas.WithRuns(30), lasvegas.WithSeed(7), lasvegas.WithWorkers(4))
+	c, err := p.Collect(context.Background(), lasvegas.Queens, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Runs != 30 || len(c.Iterations) != 30 || len(c.Seconds) != 30 {
+		t.Fatalf("campaign shape: %+v", c)
+	}
+	if c.Problem != "queens-16" {
+		t.Errorf("problem name %q", c.Problem)
+	}
+	for i, it := range c.Iterations {
+		if it <= 0 {
+			t.Errorf("run %d has %v iterations", i, it)
+		}
+		if c.Seconds[i] < 0 {
+			t.Errorf("run %d has negative seconds", i)
+		}
+	}
+}
+
+func TestCollectValidation(t *testing.T) {
+	ctx := context.Background()
+	if _, err := lasvegas.New(lasvegas.WithRuns(0)).Collect(ctx, lasvegas.Queens, 8); err == nil {
+		t.Error("0 runs accepted")
+	}
+	if _, err := lasvegas.New(lasvegas.WithRuns(4)).Collect(ctx, lasvegas.Queens, 1); err == nil {
+		t.Error("a 1-queen instance accepted")
+	}
+}
+
+func TestSummaries(t *testing.T) {
+	c := &lasvegas.Campaign{
+		Problem:    "synthetic",
+		Runs:       4,
+		Iterations: []float64{10, 20, 30, 100},
+		Seconds:    []float64{0.1, 0.2, 0.3, 1.0},
+	}
+	it := c.IterationSummary()
+	if it.Min != 10 || it.Max != 100 || it.Mean != 40 || it.Median != 25 {
+		t.Errorf("iteration summary %+v", it)
+	}
+	ts := c.TimeSummary()
+	if ts.Min != 0.1 || ts.Max != 1.0 {
+		t.Errorf("time summary %+v", ts)
+	}
+}
+
 func TestCensoredCampaign(t *testing.T) {
 	p := lasvegas.New(lasvegas.WithRuns(30), lasvegas.WithSeed(4), lasvegas.WithBudget(3))
 	c, err := p.Collect(context.Background(), lasvegas.Costas, 10)
@@ -246,9 +296,14 @@ func TestCensoredCampaign(t *testing.T) {
 	}
 }
 
+// TestSATCollectAndRace: SAT3 collects a well-formed campaign and
+// races on it, and for every problem a one-walker race runs the
+// instance and random stream of a one-run campaign with the same seed,
+// because one runner serves both.
 func TestSATCollectAndRace(t *testing.T) {
+	ctx := context.Background()
 	p := lasvegas.New(lasvegas.WithRuns(40), lasvegas.WithSeed(9))
-	c, err := p.Collect(context.Background(), lasvegas.SAT3, 50)
+	c, err := p.Collect(ctx, lasvegas.SAT3, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +315,60 @@ func TestSATCollectAndRace(t *testing.T) {
 			t.Fatalf("run %d: non-positive flips %v", i, x)
 		}
 	}
-	out, err := p.Race(context.Background(), lasvegas.SAT3, 50, 4, 123)
+	out, err := p.Race(ctx, lasvegas.SAT3, 50, 4, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Winner < 0 || out.Winner >= 4 || out.Iterations < 1 {
 		t.Errorf("race outcome %+v", out)
+	}
+
+	sizes := map[lasvegas.Problem]int{
+		lasvegas.AllInterval: 14, lasvegas.Costas: 10, lasvegas.MagicSquare: 5,
+		lasvegas.Queens: 30, lasvegas.SAT3: 50,
+	}
+	for _, prob := range lasvegas.Problems() {
+		size, ok := sizes[prob]
+		if !ok {
+			t.Fatalf("no test size for %s", prob)
+		}
+		for seed := uint64(1); seed <= 3; seed++ {
+			race, err := lasvegas.New(lasvegas.WithSeed(seed)).Race(ctx, prob, size, 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := lasvegas.New(lasvegas.WithRuns(1), lasvegas.WithSeed(seed)).Collect(ctx, prob, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if float64(race.Iterations) != c.Iterations[0] {
+				t.Errorf("%s-%d seed %d: race took %d iterations, the campaign's run %v",
+					prob, size, seed, race.Iterations, c.Iterations[0])
+			}
+		}
+	}
+}
+
+// TestCollectExpiredContext: every collect path answers a done context
+// with the context's error, which lvserve maps to 499.
+func TestCollectExpiredContext(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		prob lasvegas.Problem
+		size int
+		opts []lasvegas.Option
+	}{
+		{"default", lasvegas.Costas, 10, nil},
+		{"budgeted", lasvegas.Costas, 10, []lasvegas.Option{lasvegas.WithBudget(1 << 20)}},
+		{"sharded", lasvegas.Costas, 10, []lasvegas.Option{lasvegas.WithShard(1, 3)}},
+		{"sat-3", lasvegas.SAT3, 50, nil},
+	} {
+		p := lasvegas.New(append([]lasvegas.Option{lasvegas.WithRuns(12)}, tc.opts...)...)
+		if _, err := p.Collect(ctx, tc.prob, tc.size); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: want context.DeadlineExceeded, got %v", tc.name, err)
+		}
 	}
 }
 

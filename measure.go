@@ -57,37 +57,46 @@ func fromSpeedupPoints(pts []multiwalk.SpeedupPoint) []SpeedupPoint {
 	return out
 }
 
-// problemRunner builds the multi-walk runner of a problem family:
-// one sequential solver run per invocation, honouring cancellation.
-func problemRunner(prob Problem, size int, seed uint64) (multiwalk.Runner, error) {
+// problemRunner builds the one runner of a problem instance behind
+// every campaign, shard and race: each call is one sequential solver
+// run, capped at budget iterations (0 = unbounded) and honouring
+// cancellation. It also returns the instance name. The SAT3 formula
+// is derived from seed, so a campaign and a race with the same seed
+// run the same instance.
+func problemRunner(prob Problem, size int, seed uint64, budget int64) (multiwalk.Runner, string, error) {
 	if !prob.Known() {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownProblem, prob)
+		return nil, "", fmt.Errorf("%w: %q (known: %v)", ErrUnknownProblem, prob, Problems())
 	}
 	if size <= 0 {
 		size = prob.DefaultSize()
 	}
+	name := fmt.Sprintf("%s-%d", prob, size)
 	if prob == SAT3 {
 		clauses := int(satClauseRatio * float64(size))
 		f, _, err := sat.RandomPlantedKSAT(size, clauses, 3, xrand.New(seed^0x5A73))
 		if err != nil {
-			return nil, fmt.Errorf("lasvegas: %w", err)
+			return nil, "", fmt.Errorf("lasvegas: %w", err)
+		}
+		params := sat.Params{MaxFlips: budget}
+		if _, err := sat.NewSolver(f, params); err != nil {
+			return nil, "", fmt.Errorf("lasvegas: %w", err)
 		}
 		return func(ctx context.Context, r *xrand.Rand) multiwalk.WalkResult {
-			s, err := sat.NewSolver(f, sat.Params{})
+			s, err := sat.NewSolver(f, params)
 			if err != nil {
 				return multiwalk.WalkResult{}
 			}
 			res := s.RunContext(ctx, r)
 			return multiwalk.WalkResult{Iterations: res.Flips, Solved: res.Solved}
-		}, nil
+		}, name, nil
 	}
 	kind := problems.Kind(prob)
 	factory := func() (csp.Problem, error) { return problems.New(kind, size) }
-	runner, err := multiwalk.SolverRunner(factory, adaptive.Params{})
+	runner, err := multiwalk.SolverRunner(factory, adaptive.Params{MaxIterations: budget})
 	if err != nil {
-		return nil, fmt.Errorf("lasvegas: %w", err)
+		return nil, "", fmt.Errorf("lasvegas: %w", err)
 	}
-	return runner, nil
+	return runner, name, nil
 }
 
 // MeasureSpeedups measures real multi-walk speed-ups: for each core
@@ -97,11 +106,11 @@ func problemRunner(prob Problem, size int, seed uint64) (multiwalk.Runner, error
 // runs. Wall-clock speed-ups saturate at the physical core count;
 // iteration speed-ups stay meaningful beyond it (paper §5.5).
 //
-// For SAT3 the planted formula is derived from the Predictor seed
-// (exactly as in Collect), so measure with the same WithSeed as the
-// baseline campaign or the races run a different instance.
+// The races run the instance Collect runs: for SAT3 the planted
+// formula is derived from the Predictor seed, so measure with the
+// same WithSeed as the baseline campaign.
 func (p *Predictor) MeasureSpeedups(ctx context.Context, prob Problem, size int, seqMean float64, cores []int, reps int) ([]SpeedupPoint, error) {
-	runner, err := problemRunner(prob, size, p.cfg.seed)
+	runner, _, err := problemRunner(prob, size, p.cfg.seed, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +138,7 @@ type RaceOutcome struct {
 // solvers on the problem instance, first solution wins, losers are
 // cancelled (the paper's Definition 2, goroutines as cores).
 func (p *Predictor) Race(ctx context.Context, prob Problem, size, walkers int, seed uint64) (RaceOutcome, error) {
-	runner, err := problemRunner(prob, size, p.cfg.seed)
+	runner, _, err := problemRunner(prob, size, p.cfg.seed, 0)
 	if err != nil {
 		return RaceOutcome{}, err
 	}

@@ -13,13 +13,15 @@
 # pipes a campaign into the O(1)-memory NDJSON ingest, the
 # sketch-backed fit/predict must be sane and survive kill -9
 # byte-identically, and two shard streams pooled with {"merge_ids"}
-# must land on the single unsharded stream's content id. The policy
-# pass asserts the GET /v1/policy restart-policy table: four ranked
-# rows with sane fields, the winner equal to the top row, byte-stable
-# bytes across a kill -9 replay, and exactly the winner that
-# `lvpredict -policy` prints for the same campaign. The final
-# observability pass checks Lvserve-Trace-Id on every response (both
-# generated and caller-supplied), then issues a known request mix and
+# must land on the single unsharded stream's content id. A server-side
+# {"collect"} must store exactly the iterations lvseq collects with the
+# same problem, size, runs and seed. The policy pass asserts the GET
+# /v1/policy restart-policy table: four ranked rows with sane fields,
+# the winner equal to the top row, byte-stable bytes across a kill -9
+# replay, and exactly the winner that `lvpredict -policy` prints for
+# the same campaign. The final observability pass checks
+# Lvserve-Trace-Id on every response (both generated and
+# caller-supplied), then issues a known request mix and
 # requires /v1/metrics to expose every promised family with per-route
 # counters exactly matching the traffic. Exits non-zero on any failed
 # assertion; every daemon is always shut down.
@@ -350,6 +352,26 @@ curl -fsS "$base/v1/predict?id=$sid&cores=16,64,256&quantile=0.5&target=8" \
 stop_daemon
 cmp "$tmp/stream_fit.before" "$tmp/stream_fit.after"
 cmp "$tmp/stream_predict.before" "$tmp/stream_predict.after"
+
+# --- server-side collect: a {"collect"} request stores, run for run, --
+# the campaign lvseq collects with the same problem, size, runs and seed.
+
+echo "== collect: the daemon's campaign equals lvseq's"
+start_daemon
+curl -fsS -d '{"collect":{"problem":"costas","size":9,"runs":24,"seed":7}}' \
+    "$base/v1/campaigns" >"$tmp/collect_upload"
+colid="$(jq -r .id "$tmp/collect_upload")"
+curl -fsS "$base/v1/internal/campaign?id=$colid" >"$tmp/collect_daemon.json"
+stop_daemon
+"$tmp/lvseq" -problem costas -size 9 -runs 24 -seed 7 \
+    -out "$tmp/collect_lvseq.json" >/dev/null 2>&1
+jq -e --slurpfile cli "$tmp/collect_lvseq.json" '
+    (.iterations | length) == 24 and .iterations == $cli[0].iterations
+' "$tmp/collect_daemon.json" >/dev/null || {
+    echo "daemon collect iterations $(jq -c .iterations "$tmp/collect_daemon.json")" >&2
+    echo "differ from lvseq's $(jq -c .iterations "$tmp/collect_lvseq.json")" >&2
+    exit 1
+}
 
 # --- restart policies: GET /v1/policy serves the ranked table, ------
 # byte-stable across kill -9, and its winner is exactly the verdict
