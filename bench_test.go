@@ -1,7 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (one
 // bench per artifact, in paper-replay mode so a full -bench=. pass
-// stays in CI budget) plus the ablation benches called out in
-// DESIGN.md §5. Run:
+// stays in CI budget) plus the ablation benches below, which
+// `make bench` records (see README's Developing section). Run:
 //
 //	go test -bench=. -benchmem
 package lasvegas_test
@@ -59,7 +59,7 @@ func BenchmarkFig12CostasHistogram(b *testing.B)  { benchArtifact(b, "fig12") }
 func BenchmarkFig13CostasPrediction(b *testing.B) { benchArtifact(b, "fig13") }
 func BenchmarkFig14Costas8192(b *testing.B)       { benchArtifact(b, "fig14") }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations ---
 
 // BenchmarkAblationQuantileVsTimeDomain compares the two E[Z(n)]
 // integration strategies on the paper's MS 200 lognormal at n=256.

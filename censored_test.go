@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -222,5 +223,21 @@ func TestCensoredFitGolden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("censored fit output drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestCensoredFitFailureNamesFamiliesTried: when no censored fit is
+// accepted, Fit's error names the families FitAll actually raced —
+// CensoredFamilies under the default choice, Weibull included — not
+// the complete-sample defaults.
+func TestCensoredFitFailureNamesFamiliesTried(t *testing.T) {
+	c := loadCensoredFixture(t)
+	_, err := lasvegas.New(lasvegas.WithCensoredFit(true), lasvegas.WithAlpha(0.99)).Fit(c)
+	if !errors.Is(err, lasvegas.ErrNoAcceptableFit) {
+		t.Fatalf("want ErrNoAcceptableFit, got %v", err)
+	}
+	if want := fmt.Sprint(lasvegas.CensoredFamilies()); !strings.Contains(err.Error(), want) ||
+		!strings.Contains(err.Error(), string(lasvegas.Weibull)) {
+		t.Errorf("error %q does not name the families tried %s", err, want)
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"lasvegas"
 	"lasvegas/internal/core"
-	"lasvegas/internal/fit"
 	"lasvegas/internal/multiwalk"
 )
 
@@ -29,14 +28,10 @@ func TestPipelineQueens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	best, err := fit.Best(campaign.Iterations, 0.01,
-		fit.FamExponential, fit.FamShiftedExponential, fit.FamLogNormal)
+	parametric, err := lasvegas.New(lasvegas.WithFamilies(lasvegas.DefaultFamilies()...), lasvegas.WithAlpha(0.01)).
+		Fit(campaign)
 	if err != nil {
 		t.Fatalf("no family fits queens runtimes: %v", err)
-	}
-	parametric, err := core.NewPredictor(best.Dist)
-	if err != nil {
-		t.Fatal(err)
 	}
 	plugin, err := core.NewEmpirical(campaign.Iterations)
 	if err != nil {

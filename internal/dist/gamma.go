@@ -12,7 +12,7 @@ import (
 //
 //	PDF(x) = Rate^Shape · x^{Shape-1} · e^{-Rate·x} / Γ(Shape),
 //
-// one of the extra candidate families the auto-fitter can rank
+// one of the extra candidate families model selection can rank
 // against the paper's three.
 type Gamma struct {
 	Shape float64 // k > 0

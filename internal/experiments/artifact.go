@@ -12,7 +12,8 @@
 //   - paper mode replays the published numbers embedded in
 //     internal/paperdata, feeding the paper's own fitted parameters
 //     through this repository's predictor, which reproduces the
-//     paper's predicted rows exactly (see EXPERIMENTS.md).
+//     paper's predicted rows exactly (pinned by
+//     TestPaperTable5ContainsPublishedPrediction).
 package experiments
 
 import (

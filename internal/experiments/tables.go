@@ -50,7 +50,7 @@ func summaryTable(l *Lab, ctx context.Context, title string, iterations bool) (*
 		}
 		a.Rows = append(a.Rows, []string{l.label(kind), fg(row.Min), fg(row.Mean), fg(row.Median), fg(row.Max)})
 	}
-	a.Description = fmt.Sprintf("Live campaign, %d runs per problem (scaled instances; see DESIGN.md §3).", l.cfg.Runs)
+	a.Description = fmt.Sprintf("Live campaign, %d runs per problem (scaled instances; see problems.DefaultSize).", l.cfg.Runs)
 	return a, nil
 }
 

@@ -105,13 +105,8 @@ func Learn(obs []Observation, alpha float64) (*Model, error) {
 		ff := familyFits{family: fam, minP: math.Inf(1)}
 		ok := true
 		for _, o := range sorted {
-			results, err := fit.Auto(o.Sample, fam)
-			if err != nil || results[0].Err != nil {
-				ok = false
-				break
-			}
-			r := results[0]
-			if r.KS.RejectAt(alpha) {
+			r := fit.One(o.Sample, fam)
+			if r.Err != nil || r.KS.RejectAt(alpha) {
 				ok = false
 				break
 			}
@@ -136,56 +131,85 @@ func Learn(obs []Observation, alpha float64) (*Model, error) {
 	return m, nil
 }
 
-// paramsOf extracts the regressable parameters of a fitted law.
-func paramsOf(family fit.Family, d dist.Dist) ([]trend, []float64, error) {
-	switch family {
-	case fit.FamShiftedExponential, fit.FamExponential:
+// shape is one learnable family: the parameters regressed against
+// size, how to read them off a fitted law, and how to rebuild the law
+// from their trend values (in trends order) at a size.
+type shape struct {
+	trends []trend
+	params func(dist.Dist) ([]float64, error)
+	law    func(m *Model, size int, v []float64) (dist.Dist, error)
+}
+
+// shapes maps every candidate family onto its shape.
+var shapes = map[fit.Family]shape{
+	fit.FamShiftedExponential: exponentialShape,
+	fit.FamExponential:        exponentialShape,
+	fit.FamLogNormal:          logNormalShape,
+}
+
+// exponentialShape regresses the mean excess 1/λ in log space
+// (exponential growth with size) and the shift in log1p space.
+var exponentialShape = shape{
+	trends: []trend{{name: "scale", logSpace: true}, {name: "shift", logSpace: true}},
+	params: func(d dist.Dist) ([]float64, error) {
 		se, ok := d.(dist.ShiftedExponential)
 		if !ok {
-			return nil, nil, fmt.Errorf("extrapolate: %T is not a shifted exponential", d)
+			return nil, fmt.Errorf("extrapolate: %T is not a shifted exponential", d)
 		}
-		// Regress the mean excess 1/λ in log space (exponential growth
-		// with size) and the shift in log1p space.
-		return []trend{
-				{name: "scale", logSpace: true},
-				{name: "shift", logSpace: true},
-			}, []float64{
-				math.Log(1 / se.Rate),
-				math.Log1p(se.Shift),
-			}, nil
-	case fit.FamLogNormal:
+		return []float64{math.Log(1 / se.Rate), math.Log1p(se.Shift)}, nil
+	},
+	law: func(_ *Model, size int, v []float64) (dist.Dist, error) {
+		scale, shift := v[0], unshift(v[1])
+		if !(scale > 0) {
+			return nil, fmt.Errorf("extrapolate: non-positive scale at size %d", size)
+		}
+		return dist.NewShiftedExponential(shift, 1/scale)
+	},
+}
+
+// logNormalShape regresses μ, already a log-scale quantity, and σ
+// linearly, and the shift in log1p space.
+var logNormalShape = shape{
+	trends: []trend{{name: "mu"}, {name: "sigma"}, {name: "shift", logSpace: true}},
+	params: func(d dist.Dist) ([]float64, error) {
 		ln, ok := d.(dist.LogNormal)
 		if !ok {
-			return nil, nil, fmt.Errorf("extrapolate: %T is not a lognormal", d)
+			return nil, fmt.Errorf("extrapolate: %T is not a lognormal", d)
 		}
-		// μ is already a log-scale quantity: regress linearly. σ and
-		// the shift regress linearly and in log1p space respectively.
-		return []trend{
-				{name: "mu"},
-				{name: "sigma"},
-				{name: "shift", logSpace: true},
-			}, []float64{
-				ln.Mu,
-				ln.Sigma,
-				math.Log1p(ln.Shift),
-			}, nil
+		return []float64{ln.Mu, ln.Sigma, math.Log1p(ln.Shift)}, nil
+	},
+	law: func(m *Model, _ int, v []float64) (dist.Dist, error) {
+		mu, sigma, shift := v[0], v[1], unshift(v[2])
+		if !(sigma > 0) {
+			// σ trends can cross zero when extrapolating far; clamp to
+			// the smallest observed σ rather than failing.
+			sigma = m.smallestSigma()
+		}
+		return dist.NewLogNormal(shift, mu, sigma)
+	},
+}
+
+// unshift undoes the log1p regression's +1 of a shift, clamped at 0.
+func unshift(v float64) float64 {
+	if shift := v - 1; !(shift < 0) {
+		return shift
 	}
-	return nil, nil, fmt.Errorf("extrapolate: unsupported family %q", family)
+	return 0
 }
 
 func (m *Model) buildTrends() error {
-	shapes, _, err := paramsOf(m.Family, m.Fits[0].Dist)
-	if err != nil {
-		return err
+	sh, ok := shapes[m.Family]
+	if !ok {
+		return fmt.Errorf("extrapolate: unsupported family %q", m.Family)
 	}
 	sizes := make([]float64, len(m.Fits))
-	values := make([][]float64, len(shapes))
+	values := make([][]float64, len(sh.trends))
 	for i := range values {
 		values[i] = make([]float64, len(m.Fits))
 	}
 	for j, sf := range m.Fits {
 		sizes[j] = float64(sf.Size)
-		_, vals, err := paramsOf(m.Family, sf.Dist)
+		vals, err := sh.params(sf.Dist)
 		if err != nil {
 			return err
 		}
@@ -193,13 +217,13 @@ func (m *Model) buildTrends() error {
 			values[i][j] = v
 		}
 	}
-	m.trends = make([]trend, len(shapes))
-	for i, shape := range shapes {
+	m.trends = make([]trend, len(sh.trends))
+	for i, t := range sh.trends {
 		slope, intercept, err := stats.LinearFit(sizes, values[i])
 		if err != nil {
-			return fmt.Errorf("extrapolate: trend %q: %w", shape.name, err)
+			return fmt.Errorf("extrapolate: trend %q: %w", t.name, err)
 		}
-		m.trends[i] = trend{name: shape.name, slope: slope, intercept: intercept, logSpace: shape.logSpace}
+		m.trends[i] = trend{name: t.name, slope: slope, intercept: intercept, logSpace: t.logSpace}
 	}
 	return nil
 }
@@ -210,45 +234,15 @@ func (m *Model) DistAt(size int) (dist.Dist, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("extrapolate: size %d", size)
 	}
-	s := float64(size)
-	switch m.Family {
-	case fit.FamShiftedExponential, fit.FamExponential:
-		scale := m.trendValue("scale", s)
-		shift := m.trendValue("shift", s) - 1 // undo log1p's +1
-		if shift < 0 {
-			shift = 0
-		}
-		if !(scale > 0) {
-			return nil, fmt.Errorf("extrapolate: non-positive scale at size %d", size)
-		}
-		return dist.NewShiftedExponential(shift, 1/scale)
-	case fit.FamLogNormal:
-		mu := m.trendValue("mu", s)
-		sigma := m.trendValue("sigma", s)
-		shift := m.trendValue("shift", s) - 1
-		if shift < 0 {
-			shift = 0
-		}
-		if !(sigma > 0) {
-			// σ trends can cross zero when extrapolating far; clamp to
-			// the smallest observed σ rather than failing.
-			sigma = m.smallestSigma()
-		}
-		return dist.NewLogNormal(shift, mu, sigma)
+	sh, ok := shapes[m.Family]
+	if !ok {
+		return nil, fmt.Errorf("extrapolate: unsupported family %q", m.Family)
 	}
-	return nil, fmt.Errorf("extrapolate: unsupported family %q", m.Family)
-}
-
-func (m *Model) trendValue(name string, size float64) float64 {
-	for _, t := range m.trends {
-		if t.name == name {
-			if t.logSpace {
-				return t.at(size) // already exponentiated
-			}
-			return t.at(size)
-		}
+	v := make([]float64, len(m.trends))
+	for i, t := range m.trends {
+		v[i] = t.at(float64(size))
 	}
-	return math.NaN()
+	return sh.law(m, size, v)
 }
 
 func (m *Model) smallestSigma() float64 {

@@ -6,13 +6,16 @@
 //   - plain exponential when x0 is negligible against the mean (the
 //     paper's Costas 21 decision);
 //   - shifted lognormal by profile maximum likelihood over the shift;
-//   - plus normal, gamma, weibull and Lévy MLEs so the auto-fitter can
+//   - plus normal, gamma, weibull and Lévy MLEs so model selection can
 //     reproduce the paper's "we also tested gaussian and Lévy and got
 //     negative results" step.
 //
-// Auto ranks every candidate family by Kolmogorov–Smirnov p-value and
-// returns them ordered, which is exactly the paper's model-selection
-// loop in executable form.
+// Table holds one row per family: its complete-sample estimator and,
+// for the exponential variants, the lognormal and the Weibull, the
+// censored maximum-likelihood estimator from internal/survival. One
+// fits one family by its row and tests it by Kolmogorov–Smirnov; the
+// caller ranks the families (lasvegas.Predictor.FitAll is the paper's
+// §6 model-selection loop).
 //
 // The lognormal profile likelihood, evaluated at every step of the
 // shift search, reuses log(x − x0) across a run of equal observations
@@ -25,13 +28,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"lasvegas/internal/dist"
 	"lasvegas/internal/ks"
 	"lasvegas/internal/optim"
 	"lasvegas/internal/specfn"
 	"lasvegas/internal/stats"
+	"lasvegas/internal/survival"
 )
 
 // ErrSample reports a sample unusable for estimation.
@@ -265,7 +268,7 @@ func Levy(sample []float64) (dist.Levy, error) {
 	return dist.NewLevy(loc, float64(len(sample))/invSum)
 }
 
-// Family identifies a candidate distribution family for Auto.
+// Family identifies a candidate distribution family: a row of Table.
 type Family string
 
 // Candidate families.
@@ -279,17 +282,24 @@ const (
 	FamLevy               Family = "levy"
 )
 
-// DefaultFamilies is the candidate set the paper effectively
-// considers: the two exponential variants and the lognormal it
-// accepts, plus the gaussian and Lévy it reports rejecting.
-var DefaultFamilies = []Family{
-	FamExponential, FamShiftedExponential, FamLogNormal, FamNormal, FamLevy,
+// Estimators is one family's row of Table: its complete-sample
+// estimator and its censored maximum-likelihood estimator (nil when
+// the family has none).
+type Estimators struct {
+	Complete func(sample []float64) (dist.Dist, error)
+	Censored func(values []float64, censored []bool) (dist.Dist, error)
 }
 
-// AllFamilies adds gamma and weibull to the default set.
-var AllFamilies = []Family{
-	FamExponential, FamShiftedExponential, FamLogNormal,
-	FamNormal, FamGamma, FamWeibull, FamLevy,
+// Table maps every candidate family onto its estimators. It is the
+// one place a family name selects estimation code.
+var Table = map[Family]Estimators{
+	FamExponential:        {complete(Exponential), censored(survival.Exponential)},
+	FamShiftedExponential: {complete(ShiftedExponential), censored(survival.ShiftedExponential)},
+	FamLogNormal:          {complete(LogNormal), censored(survival.LogNormal)},
+	FamNormal:             {Complete: complete(Normal)},
+	FamGamma:              {Complete: complete(Gamma)},
+	FamWeibull:            {complete(Weibull), censored(survival.Weibull)},
+	FamLevy:               {Complete: complete(Levy)},
 }
 
 // Result is one fitted candidate with its goodness of fit.
@@ -300,93 +310,21 @@ type Result struct {
 	Err    error // non-nil when the family could not be fitted
 }
 
-// Auto fits every requested family (DefaultFamilies when families is
-// empty) and returns the results sorted by descending KS p-value.
-// Families that fail to fit appear at the end with Err set. The first
-// element with Err == nil is the best fit; callers emulating the
-// paper should additionally check RejectAt(0.05).
-func Auto(sample []float64, families ...Family) ([]Result, error) {
-	if len(sample) == 0 {
-		return nil, ErrSample
-	}
-	if len(families) == 0 {
-		families = DefaultFamilies
-	}
-	results := make([]Result, len(families))
-	for i, fam := range families {
-		results[i] = One(sample, fam)
-	}
-	sorted := make([]Result, 0, len(results))
-	for _, i := range Rank(results) {
-		sorted = append(sorted, results[i])
-	}
-	return sorted, nil
-}
-
-// One fits a single family to the sample and tests the fit by KS.
-// Calls on the same sample share it read-only, so several families
-// may be fitted concurrently.
+// One fits a single family to the sample with its Table row and tests
+// the fit by KS. Calls on the same sample share it read-only, so
+// several families may be fitted concurrently.
 func One(sample []float64, fam Family) Result {
 	r := Result{Family: fam}
-	switch fam {
-	case FamExponential:
-		r.Dist, r.Err = wrap(Exponential(sample))
-	case FamShiftedExponential:
-		r.Dist, r.Err = wrap(ShiftedExponential(sample))
-	case FamLogNormal:
-		r.Dist, r.Err = wrap(LogNormal(sample))
-	case FamNormal:
-		r.Dist, r.Err = wrap(Normal(sample))
-	case FamGamma:
-		r.Dist, r.Err = wrap(Gamma(sample))
-	case FamWeibull:
-		r.Dist, r.Err = wrap(Weibull(sample))
-	case FamLevy:
-		r.Dist, r.Err = wrap(Levy(sample))
-	default:
+	est, ok := Table[fam]
+	if !ok {
 		r.Err = fmt.Errorf("fit: unknown family %q", fam)
+		return r
 	}
-	if r.Err != nil {
+	if r.Dist, r.Err = est.Complete(sample); r.Err != nil {
 		return r
 	}
 	r.KS, r.Err = ks.OneSample(sample, r.Dist)
 	return r
-}
-
-// Rank returns the indices of results in Auto's order: successful
-// fits first, by descending KS p-value, with ties and failures in
-// their given order.
-func Rank(results []Result) []int {
-	order := make([]int, len(results))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := results[order[a]], results[order[b]]
-		switch {
-		case ra.Err == nil && rb.Err != nil:
-			return true
-		case ra.Err != nil:
-			return false
-		}
-		return ra.KS.PValue > rb.KS.PValue
-	})
-	return order
-}
-
-// Best returns the highest-p-value successful fit from Auto, or an
-// error when no family fits at the given significance level.
-func Best(sample []float64, alpha float64, families ...Family) (Result, error) {
-	results, err := Auto(sample, families...)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, r := range results {
-		if r.Err == nil && !r.KS.RejectAt(alpha) {
-			return r, nil
-		}
-	}
-	return Result{}, fmt.Errorf("fit: no candidate family passes KS at α=%v", alpha)
 }
 
 // NegligibleShift reports whether the paper's x0 ≈ 0 simplification
@@ -397,6 +335,16 @@ func NegligibleShift(sample []float64) bool {
 		return false
 	}
 	return stats.Min(sample)/m < negligibleShiftRatio
+}
+
+// complete and censored adapt a concrete estimator to its Table
+// column.
+func complete[D dist.Dist](f func([]float64) (D, error)) func([]float64) (dist.Dist, error) {
+	return func(sample []float64) (dist.Dist, error) { return wrap(f(sample)) }
+}
+
+func censored[D dist.Dist](f func([]float64, []bool) (D, error)) func([]float64, []bool) (dist.Dist, error) {
+	return func(values []float64, flags []bool) (dist.Dist, error) { return wrap(f(values, flags)) }
 }
 
 // wrap adapts a concrete (D, error) pair to (dist.Dist, error).

@@ -152,76 +152,6 @@ func TestLevyFitIsAccepted(t *testing.T) {
 	}
 }
 
-func TestAutoPrefersTrueFamilyExponential(t *testing.T) {
-	truth, _ := dist.NewShiftedExponential(1000, 1e-4)
-	xs := sample(t, truth, 650, 9)
-	results, err := Auto(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best := results[0]
-	if best.Err != nil {
-		t.Fatalf("best fit failed: %v", best.Err)
-	}
-	if best.Family != FamShiftedExponential && best.Family != FamExponential {
-		t.Errorf("best family %v, want an exponential variant (p=%v)", best.Family, best.KS.PValue)
-	}
-	if best.KS.RejectAt(0.05) {
-		t.Errorf("true family rejected: p=%v", best.KS.PValue)
-	}
-}
-
-func TestAutoPrefersLogNormalWhenTrue(t *testing.T) {
-	truth, _ := dist.NewLogNormal(0, 12, 1.3)
-	xs := sample(t, truth, 662, 10)
-	results, err := Auto(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The lognormal must rank above normal and Lévy; exponential may
-	// occasionally score close but should not beat it with σ=1.3.
-	if results[0].Family != FamLogNormal {
-		t.Errorf("best family %v, want lognormal", results[0].Family)
-		for _, r := range results {
-			t.Logf("  %v p=%v err=%v", r.Family, r.KS.PValue, r.Err)
-		}
-	}
-}
-
-func TestAutoRejectsGaussianForSkewedData(t *testing.T) {
-	truth, _ := dist.NewLogNormal(0, 5, 1.5)
-	xs := sample(t, truth, 650, 11)
-	results, _ := Auto(xs)
-	for _, r := range results {
-		if r.Family == FamNormal && r.Err == nil && !r.KS.RejectAt(0.05) {
-			t.Errorf("gaussian accepted on heavily skewed data (p=%v)", r.KS.PValue)
-		}
-	}
-}
-
-func TestBestReturnsAcceptedFit(t *testing.T) {
-	truth, _ := dist.NewExponential(0.001)
-	xs := sample(t, truth, 650, 12)
-	r, err := Best(xs, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.KS.RejectAt(0.05) {
-		t.Error("Best returned a rejected fit")
-	}
-}
-
-func TestBestFailsWhenNothingFits(t *testing.T) {
-	// A comb-like discrete sample fits none of the continuous families.
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = float64(i%2)*1000 + 1
-	}
-	if _, err := Best(xs, 0.05); err == nil {
-		t.Error("expected no family to fit a two-point sample")
-	}
-}
-
 func TestNegligibleShift(t *testing.T) {
 	// Costas-like: min tiny vs mean.
 	if !NegligibleShift([]float64{3.2e5, 1.8e8, 2.5e8, 3.6e8}) {
@@ -249,18 +179,9 @@ func TestDegenerateSamples(t *testing.T) {
 	if _, err := Normal([]float64{7}); err == nil {
 		t.Error("single observation accepted by Normal")
 	}
-	if _, err := Auto(nil); err == nil {
-		t.Error("empty sample accepted by Auto")
-	}
-}
-
-func TestAutoUnknownFamily(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	results, err := Auto(xs, Family("no-such-family"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err == nil {
-		t.Error("unknown family should carry an error")
+	for fam := range Table {
+		if r := One(nil, fam); r.Err == nil {
+			t.Errorf("empty sample accepted by One(%s)", fam)
+		}
 	}
 }

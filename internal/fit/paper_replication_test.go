@@ -1,9 +1,11 @@
-package fit
+package fit_test
 
 import (
 	"testing"
 
+	"lasvegas"
 	"lasvegas/internal/dist"
+	"lasvegas/internal/fit"
 	"lasvegas/internal/xrand"
 )
 
@@ -24,36 +26,35 @@ func TestPaperFamilySelectionReplication(t *testing.T) {
 		name   string
 		truth  dist.Dist
 		runs   int
-		accept map[Family]bool // families we'd accept as "the paper's pick"
+		accept map[lasvegas.Family]bool // families we'd accept as "the paper's pick"
 	}{
-		{"AI700", aiTruth, 720, map[Family]bool{FamShiftedExponential: true, FamExponential: false}},
-		{"MS200", msTruth, 662, map[Family]bool{FamLogNormal: true}},
-		{"Costas21", costasTruth, 638, map[Family]bool{FamExponential: true, FamShiftedExponential: true}},
+		{"AI700", aiTruth, 720, map[lasvegas.Family]bool{lasvegas.ShiftedExponential: true, lasvegas.Exponential: false}},
+		{"MS200", msTruth, 662, map[lasvegas.Family]bool{lasvegas.LogNormal: true}},
+		{"Costas21", costasTruth, 638, map[lasvegas.Family]bool{lasvegas.Exponential: true, lasvegas.ShiftedExponential: true}},
 	}
 	for i, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			sample := dist.SampleN(tc.truth, xrand.New(uint64(100+i)), tc.runs)
-			best, err := Best(sample, 0.05,
-				FamExponential, FamShiftedExponential, FamLogNormal)
+			best, err := lasvegas.New(lasvegas.WithFamilies(lasvegas.DefaultFamilies()...), lasvegas.WithAlpha(0.05)).
+				Fit(&lasvegas.Campaign{Problem: tc.name, Runs: tc.runs, Iterations: sample})
 			if err != nil {
 				t.Fatalf("no family accepted: %v", err)
 			}
-			if !tc.accept[best.Family] {
+			if !tc.accept[best.Family()] {
 				// A shifted lognormal can mimic a shifted exponential at
 				// σ≈1 with finite samples; only hard-fail when the paper's
 				// family is outright rejected by KS.
-				for _, fam := range []Family{FamShiftedExponential, FamLogNormal, FamExponential} {
+				for _, fam := range lasvegas.DefaultFamilies() {
 					if !tc.accept[fam] {
 						continue
 					}
-					results, _ := Auto(sample, fam)
-					if results[0].Err == nil && results[0].KS.RejectAt(0.05) {
+					if r := fit.One(sample, fit.Family(fam)); r.Err == nil && r.KS.RejectAt(0.05) {
 						t.Errorf("paper family %v rejected (p=%v); selected %v",
-							fam, results[0].KS.PValue, best.Family)
+							fam, r.KS.PValue, best.Family())
 					}
 				}
-				t.Logf("note: selected %v (p=%v) over the paper family", best.Family, best.KS.PValue)
+				g, _ := best.GoodnessOfFit()
+				t.Logf("note: selected %v (p=%v) over the paper family", best.Family(), g.PValue)
 			}
 		})
 	}
@@ -66,10 +67,10 @@ func TestPaperFamilySelectionReplication(t *testing.T) {
 func TestCostasNegligibleShiftReplication(t *testing.T) {
 	truth, _ := dist.NewExponential(5.4e-9)
 	sample := dist.SampleN(truth, xrand.New(638), 638)
-	if !NegligibleShift(sample) {
+	if !fit.NegligibleShift(sample) {
 		t.Error("Costas-scale sample should have negligible shift")
 	}
-	d, err := Exponential(sample)
+	d, err := fit.Exponential(sample)
 	if err != nil {
 		t.Fatal(err)
 	}

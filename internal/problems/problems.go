@@ -58,9 +58,9 @@ func PaperSize(kind Kind) (int, bool) {
 }
 
 // DefaultSize returns the scaled-down default used by this
-// repository's campaigns so that a full fit→predict→compare cycle
-// runs in seconds (see DESIGN.md §3 on substitutions). The sizes are
-// chosen so each run costs milliseconds while the iteration counts
+// repository's campaigns in place of the paper's instance sizes, so
+// that a full fit→predict→compare cycle runs in seconds. The sizes
+// are chosen so each run costs milliseconds while the iteration counts
 // stay large enough (10³–10⁵) to treat as a continuous runtime
 // distribution, which the §6 fits require.
 func DefaultSize(kind Kind) int {

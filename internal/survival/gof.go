@@ -10,8 +10,8 @@ import (
 )
 
 // LogLikelihood returns the censored log-likelihood of d on the
-// sample: Σ_events ln f(xᵢ) + Σ_censored ln S(xᵢ). It is the ranking
-// criterion Auto uses across families — unlike KS or AD it uses every
+// sample: Σ_events ln f(xᵢ) + Σ_censored ln S(xᵢ). It ranks families
+// in censored model selection — unlike KS or AD it uses every
 // observation, censored ones included, so a family that explains the
 // budget-exceeding mass well is rewarded for it. Returns -Inf when
 // the law assigns zero density to an event or zero survival to a
@@ -151,13 +151,17 @@ func restrict(d dist.Dist, values []float64, censored []bool, cutoff float64) ([
 	return sample, td, nil
 }
 
-// Cutoff returns the censoring cutoff of a sample: the campaign
-// budget when positive, otherwise the largest censored value (the
-// only cutoff the data itself reveals). Samples without censoring
-// return +Inf.
-func Cutoff(values []float64, censored []bool, budget float64) float64 {
+// Cutoff validates a censored sample and returns its censoring
+// cutoff: the campaign budget when positive, otherwise the largest
+// censored value (the only cutoff the data itself reveals). Samples
+// without censoring return +Inf; samples with no events fail with
+// ErrAllCensored.
+func Cutoff(values []float64, censored []bool, budget float64) (float64, error) {
+	if _, err := validate(values, censored); err != nil {
+		return 0, err
+	}
 	if budget > 0 {
-		return budget
+		return budget, nil
 	}
 	cut := math.Inf(1)
 	max, any := 0.0, false
@@ -172,5 +176,5 @@ func Cutoff(values []float64, censored []bool, budget float64) float64 {
 	if any {
 		cut = max
 	}
-	return cut
+	return cut, nil
 }

@@ -25,12 +25,14 @@
 //     (μ, σ)).
 //
 // Goodness of fit under censoring cannot use the plain KS/AD tests —
-// the censored half of the sample carries no exact values. Auto
-// therefore ranks candidate families by censored log-likelihood and
-// attaches KS and Anderson–Darling verdicts computed on the
-// *uncensored region only*: under a fixed budget B the uncensored
-// observations are i.i.d. draws from the conditional law
-// F(x)/F(B), so the tests run against that truncated distribution.
+// the censored half of the sample carries no exact values. Censored
+// model selection (lasvegas.Predictor.FitAll under WithCensoredFit)
+// therefore ranks candidate families by LogLikelihood and attaches
+// KS and Anderson–Darling verdicts (RestrictedKS, RestrictedAD)
+// computed on the *uncensored region only*: under a fixed budget B
+// the uncensored observations are i.i.d. draws from the conditional
+// law F(x)/F(B), so the tests run against that truncated
+// distribution.
 //
 // All estimators are deterministic for a given sample; none allocate
 // on evaluation paths after construction.

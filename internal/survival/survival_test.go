@@ -1,6 +1,7 @@
 package survival
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -197,15 +198,16 @@ func TestKMTypeICensoring(t *testing.T) {
 }
 
 // TestAllCensored: a sample with no events cannot anchor any
-// estimate.
+// estimate; Cutoff, which censored model selection calls first,
+// rejects it.
 func TestAllCensored(t *testing.T) {
 	values := []float64{10, 10, 10}
 	flags := []bool{true, true, true}
 	if _, err := NewKaplanMeier(values, flags); err == nil {
 		t.Error("KaplanMeier accepted an all-censored sample")
 	}
-	if _, err := Auto(values, flags, 10); err == nil {
-		t.Error("Auto accepted an all-censored sample")
+	if _, err := Cutoff(values, flags, 10); !errors.Is(err, ErrAllCensored) {
+		t.Errorf("Cutoff on an all-censored sample: want ErrAllCensored, got %v", err)
 	}
 }
 
@@ -349,56 +351,17 @@ func TestNaiveFitIsBiased(t *testing.T) {
 	}
 }
 
-// TestAutoRanking: on a censored exponential sample Auto must fit the
-// supported families, rank by censored log-likelihood, attach
-// restricted KS verdicts and keep the exponential near the top.
-func TestAutoRanking(t *testing.T) {
-	base, _ := dist.NewExponential(1.0 / 700)
-	sample := dist.SampleN(base, xrand.New(31), 800)
-	budget := base.Quantile(0.75)
-	values, flags := censorAt(sample, budget)
-
-	results, err := Auto(values, flags, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(Families()) {
-		t.Fatalf("got %d results, want %d", len(results), len(Families()))
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i-1].Err == nil && results[i].Err == nil &&
-			results[i-1].LogLik < results[i].LogLik {
-			t.Errorf("results not ranked by log-likelihood: %v < %v at %d",
-				results[i-1].LogLik, results[i].LogLik, i)
-		}
-	}
-	best, err := Best(values, flags, budget, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Family != FamExponential && best.Family != FamWeibull && best.Family != FamShiftedExponential {
-		t.Errorf("best family %s for an exponential truth", best.Family)
-	}
-	if best.KS.N == 0 || best.KS.PValue < 0.05 {
-		t.Errorf("restricted KS verdict missing or rejecting the truth: %+v", best.KS)
-	}
-	// An unknown family must fail per-candidate, not poison the run.
-	results, err = Auto(values, flags, budget, FamExponential, Family("levy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[len(results)-1].Err == nil {
-		t.Error("unsupported family did not report an error")
-	}
-}
-
 // TestRestrictedKSCompleteSample: without censoring the restricted
 // test is the ordinary one-sample KS against the unconditioned law.
 func TestRestrictedKSCompleteSample(t *testing.T) {
 	base, _ := dist.NewExponential(1.0 / 300)
 	sample := dist.SampleN(base, xrand.New(41), 500)
 	flags := make([]bool, len(sample))
-	res, err := RestrictedKS(base, sample, flags, Cutoff(sample, flags, 0))
+	cutoff, err := Cutoff(sample, flags, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RestrictedKS(base, sample, flags, cutoff)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"lasvegas/internal/core"
 	"lasvegas/internal/dist"
@@ -52,8 +53,11 @@ const (
 	// EstimatorSketch marks a model estimated from a sketch-backed
 	// campaign: parametric families are fitted against the sketch's
 	// quantile pseudo-sample, and the plug-in law is the sketch
-	// itself. Accurate within the sketch's documented rank-error
-	// bound; exact while the sketch holds the full sample.
+	// itself. Exact while the sketch holds the full sample; past that
+	// the sketch's ErrorBound bounds the rank error |F̂ − F| of the
+	// law, not the prediction, and a large-n E[Z(n)] reads the low
+	// tail, where the error can be much larger (see
+	// Campaign.Sketchify).
 	EstimatorSketch = "quantile-sketch"
 )
 
@@ -68,7 +72,13 @@ func DefaultFamilies() []Family {
 // WithCensoredFit path considers: the paper's accepted trio plus the
 // min-stable Weibull.
 func CensoredFamilies() []Family {
-	return []Family{Exponential, ShiftedExponential, LogNormal, Weibull}
+	var out []Family
+	for _, f := range AllFamilies() {
+		if fit.Table[fit.Family(f)].Censored != nil {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // AllFamilies returns every parametric family the fitter knows,
@@ -254,42 +264,54 @@ type Candidate struct {
 	Err error
 }
 
-// fitSample fits every configured family to a complete sample, one
-// family per task on up to WithWorkers goroutines, and returns the
-// public candidate table in fit.Auto's order.
+// rankFits fits each family with one, one family per task on up to
+// WithWorkers goroutines, each writing its own slot, and ranks the
+// candidate table: successful fits first by descending key, failures
+// last in configured order.
+func (p *Predictor) rankFits(families []Family, one func(Family) Candidate, key func(Candidate) float64) []Candidate {
+	cands := make([]Candidate, len(families))
+	_ = fanout.Run(p.cfg.workers, len(cands), func(i int) error {
+		cands[i] = one(families[i])
+		return nil
+	})
+	sort.SliceStable(cands, func(a, b int) bool {
+		if cands[a].Err != nil || cands[b].Err != nil {
+			return cands[a].Err == nil
+		}
+		return key(cands[a]) > key(cands[b])
+	})
+	return cands
+}
+
+// candidate is the table entry of a fitted family. Its Model is nil
+// when the law has no finite mean to predict with (the Lévy law),
+// while its KS and AD verdicts still stand.
+func (p *Predictor) candidate(f Family, law dist.Dist, ksr, ad ks.Result, adErr error) Candidate {
+	c := Candidate{Family: f, Law: law.String(), KS: toGoF(ksr)}
+	if m, err := newModel(f, law, p.cfg.alpha); err == nil {
+		m.gof, m.tested = c.KS, true
+		c.Model = m
+	}
+	if adErr == nil {
+		c.AD, c.ADValid = toGoF(ad), true
+	}
+	return c
+}
+
+// fitSample fits every configured family to a complete sample and
+// ranks the candidates by descending KS p-value (§6).
 func (p *Predictor) fitSample(sample []float64) ([]Candidate, error) {
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("lasvegas: %w", fit.ErrSample)
 	}
-	results := make([]fit.Result, len(p.cfg.families))
-	cands := make([]Candidate, len(p.cfg.families))
-	_ = fanout.Run(p.cfg.workers, len(cands), func(i int) error {
-		r := fit.One(sample, fit.Family(p.cfg.families[i]))
-		results[i] = r
-		c := Candidate{Family: Family(r.Family), Err: r.Err}
-		if r.Err == nil {
-			c.Law = r.Dist.String()
-			// The Lévy law fits but has no finite mean, hence no
-			// speed-up model; its KS/AD verdicts below still stand.
-			if m, err := newModel(Family(r.Family), r.Dist, p.cfg.alpha); err == nil {
-				m.gof = toGoF(r.KS)
-				m.tested = true
-				c.Model = m
-			}
-			c.KS = toGoF(r.KS)
-			if ad, err := ks.AndersonDarling(sample, r.Dist); err == nil {
-				c.AD = toGoF(ad)
-				c.ADValid = true
-			}
+	return p.rankFits(p.cfg.families, func(f Family) Candidate {
+		r := fit.One(sample, fit.Family(f))
+		if r.Err != nil {
+			return Candidate{Family: f, Err: r.Err}
 		}
-		cands[i] = c
-		return nil
-	})
-	ranked := make([]Candidate, 0, len(cands))
-	for _, i := range fit.Rank(results) {
-		ranked = append(ranked, cands[i])
-	}
-	return ranked, nil
+		ad, err := ks.AndersonDarling(sample, r.Dist)
+		return p.candidate(f, r.Dist, r.KS, ad, err)
+	}, func(c Candidate) float64 { return c.KS.PValue }), nil
 }
 
 func toGoF(r ks.Result) GoodnessOfFit {
@@ -304,8 +326,10 @@ func toGoF(r ks.Result) GoodnessOfFit {
 // and candidates are ranked by censored log-likelihood with KS and AD
 // verdicts restricted to the uncensored region. Sketch-backed
 // campaigns fit against the sketch's quantile pseudo-sample and tag
-// their models EstimatorSketch — within the sketch's rank-error bound
-// of the raw-sample fit, with no dependence on the stream length.
+// their models EstimatorSketch, at a cost independent of the stream
+// length; the pseudo-sample is within the sketch's rank-error bound of
+// the raw sample, which does not bound the predictions (see
+// Campaign.Sketchify).
 func (p *Predictor) FitAll(c *Campaign) ([]Candidate, error) {
 	if c != nil && c.IsCensored() && p.cfg.censoredFit {
 		return p.fitCensoredAll(c)
@@ -331,8 +355,9 @@ const maxSketchFitSample = 4096
 // fitSketchAll is FitAll's sketch branch: the sketch's quantile
 // pseudo-sample through the ordinary complete-sample estimators, the
 // candidates' models tagged EstimatorSketch. KS/AD verdicts are
-// computed against the pseudo-sample and inherit the sketch's
-// rank-error bound.
+// computed against the pseudo-sample, whose empirical CDF is within
+// the sketch's ErrorBound of the raw sample's; a fitted law's
+// predictions carry no such bound.
 func (p *Predictor) fitSketchAll(c *Campaign) ([]Candidate, error) {
 	sk, err := c.RuntimeSketch(0)
 	if err != nil {
@@ -354,90 +379,73 @@ func (p *Predictor) fitSketchAll(c *Campaign) ([]Candidate, error) {
 	return cands, nil
 }
 
-// fitCensoredAll is FitAll's censored branch: the internal/survival
-// estimators over the configured families, ranked by censored
-// log-likelihood. Families without a censored estimator fail
-// per-candidate rather than poisoning the table.
+// fitCensoredAll is FitAll's censored branch: each family's censored
+// estimator from fit.Table, ranked by censored log-likelihood.
+// Families without a censored estimator fail per-candidate rather
+// than poisoning the table.
 func (p *Predictor) fitCensoredAll(c *Campaign) ([]Candidate, error) {
 	if len(c.Iterations) == 0 {
 		return nil, ErrEmptyCampaign
 	}
 	values, flags := c.Observations()
-	frac := c.CensoredFraction()
-	// An explicit WithFamilies choice is honoured (censored-incapable
-	// members become failed candidates); the default candidate set is
-	// CensoredFamilies, not DefaultFamilies — the min-stable Weibull
-	// has a censored estimator and belongs in the race.
-	families := p.cfg.families
-	if !p.cfg.famSet {
-		families = CensoredFamilies()
-	}
-	supported := make([]survival.Family, 0, len(families))
-	var unsupported []Candidate
-	for _, f := range families {
-		if sf, ok := survivalFamily(f); ok {
-			supported = append(supported, sf)
-		} else {
-			unsupported = append(unsupported, Candidate{
-				Family: f,
-				Err: fmt.Errorf("lasvegas: family %q has no censored estimator (censored candidates: %v)",
-					f, CensoredFamilies()),
-			})
-		}
-	}
-	if len(supported) == 0 {
-		return unsupported, nil
-	}
-	results, err := survival.Auto(values, flags, float64(c.Budget), supported...)
+	cutoff, err := survival.Cutoff(values, flags, float64(c.Budget))
 	if err != nil {
-		if errors.Is(err, survival.ErrAllCensored) {
-			return nil, fmt.Errorf("%w: all %d runs hit the %d-iteration budget — no uncensored observation to anchor a fit",
-				ErrCensored, len(c.Iterations), c.Budget)
-		}
-		return nil, fmt.Errorf("lasvegas: %w", err)
+		return nil, censoredSampleErr(c, err)
 	}
-	cands := make([]Candidate, 0, len(results)+len(unsupported))
-	for _, r := range results {
-		cand := Candidate{Family: Family(r.Family), Err: r.Err}
-		if r.Err == nil {
-			cand.Law = r.Dist.String()
-			cand.LogLik, cand.LogLikValid = r.LogLik, true
-			if m, err := newModel(Family(r.Family), r.Dist, p.cfg.alpha); err == nil {
-				m.gof = toGoF(r.KS)
-				m.tested = true
-				m.censFrac = frac
-				m.estimator = EstimatorCensoredMLE
-				cand.Model = m
-			}
-			cand.KS = toGoF(r.KS)
-			if r.ADValid {
-				cand.AD = toGoF(r.AD)
-				cand.ADValid = true
-			}
+	frac := c.CensoredFraction()
+	return p.rankFits(p.families(c), func(f Family) Candidate {
+		est := fit.Table[fit.Family(f)].Censored
+		if est == nil {
+			return Candidate{Family: f, Err: fmt.Errorf("lasvegas: family %q has no censored estimator (censored candidates: %v)",
+				f, CensoredFamilies())}
 		}
-		cands = append(cands, cand)
-	}
-	return append(cands, unsupported...), nil
+		law, err := est(values, flags)
+		if err != nil {
+			return Candidate{Family: f, Err: err}
+		}
+		ksr, err := survival.RestrictedKS(law, values, flags, cutoff)
+		if err != nil {
+			return Candidate{Family: f, Err: err}
+		}
+		ad, err := survival.RestrictedAD(law, values, flags, cutoff)
+		cand := p.candidate(f, law, ksr, ad, err)
+		cand.LogLik, cand.LogLikValid = survival.LogLikelihood(law, values, flags), true
+		if cand.Model != nil {
+			cand.Model.censFrac = frac
+			cand.Model.estimator = EstimatorCensoredMLE
+		}
+		return cand
+	}, func(c Candidate) float64 { return c.LogLik }), nil
 }
 
-// survivalFamily maps a public family onto its censored estimator.
-func survivalFamily(f Family) (survival.Family, bool) {
-	switch f {
-	case Exponential:
-		return survival.FamExponential, true
-	case ShiftedExponential:
-		return survival.FamShiftedExponential, true
-	case LogNormal:
-		return survival.FamLogNormal, true
-	case Weibull:
-		return survival.FamWeibull, true
+// censoredSampleErr reports a censored campaign the survival
+// estimators reject; one with every run censored fails with
+// ErrCensored.
+func censoredSampleErr(c *Campaign, err error) error {
+	if errors.Is(err, survival.ErrAllCensored) {
+		return fmt.Errorf("%w: all %d runs hit the %d-iteration budget — no uncensored observation to anchor a fit",
+			ErrCensored, len(c.Iterations), c.Budget)
 	}
-	return "", false
+	return fmt.Errorf("lasvegas: %w", err)
 }
 
-// Fit returns the best accepted model: the highest-KS-p-value family
-// that passes the test at the configured α. When every family is
-// rejected or fails, the error wraps ErrNoAcceptableFit.
+// families returns the candidate families FitAll tries on c: the
+// configured set, except that a censored fit without an explicit
+// WithFamilies choice races CensoredFamilies, not DefaultFamilies —
+// the min-stable Weibull has a censored estimator and belongs in the
+// race. An explicit choice is honoured, its censored-incapable
+// members becoming failed candidates.
+func (p *Predictor) families(c *Campaign) []Family {
+	if c.IsCensored() && p.cfg.censoredFit && !p.cfg.famSet {
+		return CensoredFamilies()
+	}
+	return p.cfg.families
+}
+
+// Fit returns the best accepted model: the first candidate of
+// FitAll's ranking whose KS verdict passes at the configured α. When
+// every family is rejected or fails, the error wraps
+// ErrNoAcceptableFit and names the families FitAll tried.
 func (p *Predictor) Fit(c *Campaign) (*Model, error) {
 	cands, err := p.FitAll(c)
 	if err != nil {
@@ -448,7 +456,7 @@ func (p *Predictor) Fit(c *Campaign) (*Model, error) {
 			return cand.Model, nil
 		}
 	}
-	return nil, fmt.Errorf("%w (families %v, α=%v)", ErrNoAcceptableFit, p.cfg.families, p.cfg.alpha)
+	return nil, fmt.Errorf("%w (families %v, α=%v)", ErrNoAcceptableFit, p.families(c), p.cfg.alpha)
 }
 
 // PlugIn returns the nonparametric plug-in model: the empirical
@@ -458,19 +466,18 @@ func (p *Predictor) Fit(c *Campaign) (*Model, error) {
 // instead, whose step CDF, quantile and exact MinExpectation reduce
 // to the empirical ones when nothing is censored. A sketch-backed
 // campaign yields the QuantileSketch law — the sketch itself, which
-// keeps the exact one-pass MinExpectation form and matches the
-// empirical plug-in within the sketch's rank-error bound
-// (bit-identically, while the sketch is still exact).
+// keeps the exact one-pass MinExpectation form. It matches the
+// empirical plug-in bit for bit while the sketch is exact; past that
+// its CDF is within the sketch's ErrorBound of the empirical one, but
+// its predictions are not: a large-n E[Z(n)] reads the lowest ~1/n of
+// the law, where the error can be much larger (see
+// Campaign.Sketchify).
 func (p *Predictor) PlugIn(c *Campaign) (*Model, error) {
 	if c != nil && c.IsCensored() && p.cfg.censoredFit {
 		values, flags := c.Observations()
 		km, err := survival.NewKaplanMeier(values, flags)
 		if err != nil {
-			if errors.Is(err, survival.ErrAllCensored) {
-				return nil, fmt.Errorf("%w: all %d runs hit the %d-iteration budget — no uncensored observation to anchor a fit",
-					ErrCensored, len(c.Iterations), c.Budget)
-			}
-			return nil, fmt.Errorf("lasvegas: %w", err)
+			return nil, censoredSampleErr(c, err)
 		}
 		m, err := newModel(KaplanMeier, km, p.cfg.alpha)
 		if err != nil {

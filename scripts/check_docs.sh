@@ -4,7 +4,8 @@
 # API (each block is extracted into its own scratch module that
 # `replace`s lasvegas with this checkout), and every relative markdown
 # link in README.md, ROADMAP.md and docs/ must point at a file that
-# exists. CI runs this on every push (the docs job).
+# exists, as must every *.md file a .go file names (at the repo root
+# or under docs/). CI runs this on every push (the docs job).
 #
 #   scripts/check_docs.sh
 set -eu
@@ -68,4 +69,16 @@ for f in README.md ROADMAP.md docs/*.md; do
 done
 [ "$fail" = 0 ] || exit 1
 
-echo "docs check: OK ($count go block(s) compiled, links resolve)"
+echo "== checking *.md files named in .go files"
+grep -rnoE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' --include='*.go' . >"$tmp/mdrefs" || true
+while IFS= read -r ref; do
+    name="${ref##*:}"
+    name="${name#./}"
+    if [ ! -e "$name" ] && [ ! -e "docs/$name" ]; then
+        echo "dangling doc reference in ${ref%:*}: $name" >&2
+        fail=1
+    fi
+done <"$tmp/mdrefs"
+[ "$fail" = 0 ] || exit 1
+
+echo "docs check: OK ($count go block(s) compiled, links and doc references resolve)"

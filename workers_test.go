@@ -16,7 +16,9 @@ import (
 // families, replays and bootstraps over WithWorkers goroutines, and
 // every task keeps its own seed and slot, so one worker and four give
 // the same bits on a raw campaign (default and all families), a
-// 20k-run sketch-backed stream and the censored Costas fixture.
+// 20k-run sketch-backed stream and the censored Costas fixture
+// (default families, and all families, where normal, gamma and Lévy
+// fail per candidate).
 func TestWorkersDoNotChangeResults(t *testing.T) {
 	raw, err := lasvegas.LoadCampaign("testdata/campaign_costas13.json")
 	if err != nil {
@@ -36,6 +38,7 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 		{"raw/all-families", raw, lasvegas.AllFamilies()},
 		{"sketch-20k", stream, nil},
 		{"censored", censored, nil},
+		{"censored/all-families", censored, lasvegas.AllFamilies()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
